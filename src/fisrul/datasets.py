@@ -43,9 +43,12 @@ class Recording:
 
 def _parse_float(token: str, path: Path, lineno: int) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise LoadError(f"{path}:{lineno}: not a number: {token!r}") from None
+    if not math.isfinite(value):
+        raise LoadError(f"{path}:{lineno}: non-finite sample: {token!r}")
+    return value
 
 
 def iter_phm(dir_path) -> Iterator[SignalWindow]:

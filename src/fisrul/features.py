@@ -18,6 +18,7 @@ from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist
 
 from .errors import ConfigError
@@ -27,6 +28,12 @@ FEATURE_NAMES = ("rms", "se", "ae", "lle", "cd", "diae")
 # Pairwise-distance features (ae, lle, cd) decimate the window to at most
 # this many samples so 20480-sample windows stay tractable.
 MAX_PAIRWISE_POINTS = 2000
+
+# Relative slack around the first Theiler-valid KD-tree distance.  The tree
+# sums squared differences in its own order, so its distances can differ from
+# the numpy ones in the last few ulps; every hit inside this band is re-scored
+# with the numpy expression before the nearest neighbor is chosen.
+_NN_REL_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -87,10 +94,13 @@ class FeatureParams:
 
 def _samples(window) -> np.ndarray:
     if isinstance(window, SignalWindow):
-        return window.samples
-    x = np.asarray(window, dtype=float)
-    if x.size == 0:
-        raise ValueError("signal window has no samples")
+        x = window.samples
+    else:
+        x = np.asarray(window, dtype=float)
+        if x.size == 0:
+            raise ValueError("signal window has no samples")
+    if not np.isfinite(x).all():
+        raise ValueError("signal window has non-finite samples (NaN or infinity)")
     return x
 
 
@@ -132,13 +142,10 @@ def _apen_phi(x: np.ndarray, m: int, r: float) -> float:
     """Mean log proportion of template matches at length m (self-matches included)."""
     templates = np.lib.stride_tricks.sliding_window_view(x, m)
     count = templates.shape[0]
-    matches = np.empty(count)
-    # chunk the Chebyshev-distance matrix to bound memory on long windows
-    step = max(1, int(2**22 / (count * m)))
-    for lo in range(0, count, step):
-        block = templates[lo : lo + step]
-        dist = np.max(np.abs(block[:, None, :] - templates[None, :, :]), axis=2)
-        matches[lo : lo + step] = np.count_nonzero(dist <= r, axis=1)
+    # Chebyshev ball counts; the tree applies the same |a - b| <= r test per
+    # coordinate, so the counts equal those of the full distance matrix
+    matches = cKDTree(templates).query_ball_point(
+        templates, r, p=np.inf, return_length=True)
     return float(np.mean(np.log(matches / count)))
 
 
@@ -201,6 +208,50 @@ def _mean_period(x: np.ndarray) -> int:
     return max(1, int(round(1.0 / mean_freq)))
 
 
+def _theiler_neighbors(points: np.ndarray, mean_period: int) -> np.ndarray:
+    """Index of each point's Euclidean nearest neighbor more than
+    ``mean_period`` steps away in time, ties going to the lowest index.
+
+    KD-tree k-nearest queries supply the candidates; ``k`` doubles for the
+    rows whose k hits hold no point outside the window, or whose last hit
+    still lies inside the tolerance band (more tied points may follow).
+    The hits within ``_NN_REL_BAND`` of the first valid distance are
+    re-scored as ``np.sqrt(np.sum((a - b) ** 2))``, so the choice equals an
+    argmin over the full distance matrix.  Raises ValueError when the
+    window leaves some point without any neighbor.
+    """
+    m = points.shape[0]
+    if 2 * mean_period >= m - 1:
+        # the middle point has no neighbor outside its Theiler window
+        raise ValueError(
+            f"Theiler window mean_period={mean_period} leaves no neighbor for "
+            f"some of the m={m} embedded points (need 2*mean_period < m-1)")
+    tree = cKDTree(points)
+    nn = np.empty(m, dtype=np.intp)
+    todo = np.arange(m)
+    k = max(2, 2 * mean_period + 2)
+    while todo.size:
+        k = min(k, m)
+        dist, hits = tree.query(points[todo], k=k)
+        valid = np.abs(hits - todo[:, None]) > mean_period
+        first = np.where(valid.any(axis=1),
+                         dist[np.arange(todo.size), valid.argmax(axis=1)], np.inf)
+        limit = first * (1.0 + _NN_REL_BAND)
+        done = (dist[:, -1] > limit) | (k == m)
+        rows, cols = np.nonzero(valid[done] & (dist[done] <= limit[done, None]))
+        owner = todo[done][rows]
+        cand = hits[done][rows, cols]
+        exact = np.sqrt(np.sum((points[owner] - points[cand]) ** 2, axis=1))
+        # owner is sorted: per-owner minimum, then the lowest tied index
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        best = np.minimum.reduceat(exact, starts)
+        tied = exact == np.repeat(best, np.diff(starts, append=owner.size))
+        nn[owner[starts]] = np.minimum.reduceat(np.where(tied, cand, m), starts)
+        todo = todo[~done]
+        k *= 2
+    return nn
+
+
 def largest_lyapunov(window, embed_dim: int = 5, embed_lag: int | None = None,
                      mean_period: int | None = None,
                      fit_range: tuple[int, int] | None = None,
@@ -223,17 +274,8 @@ def largest_lyapunov(window, embed_dim: int = 5, embed_lag: int | None = None,
     if mean_period is None:
         mean_period = _mean_period(x)
 
-    # nearest neighbor outside the Theiler window, chunked brute force
-    nn = np.empty(m, dtype=int)
+    nn = _theiler_neighbors(points, mean_period)
     idx = np.arange(m)
-    step = max(1, int(2**20 / (m * embed_dim)))
-    for lo in range(0, m, step):
-        block = points[lo : lo + step]
-        dist = np.sqrt(np.sum((block[:, None, :] - points[None, :, :]) ** 2, axis=2))
-        rows = idx[lo : lo + step]
-        excluded = np.abs(rows[:, None] - idx[None, :]) <= mean_period
-        dist[excluded] = np.inf
-        nn[lo : lo + step] = np.argmin(dist, axis=1)
 
     if n_steps is None:
         n_steps = max(3, min(50, m // 4))

@@ -94,6 +94,27 @@ def brute_force_apen(x, m, r):
     return phi(m) - phi(m + 1)
 
 
+def brute_force_theiler_neighbors(points, mean_period):
+    """Nearest neighbor of each point more than ``mean_period`` steps away.
+
+    One point at a time: Euclidean distances to every point, then the lowest
+    index among the smallest distances outside the Theiler window.
+    """
+    points = np.asarray(points, dtype=float)
+    m = len(points)
+    neighbors = []
+    for i in range(m):
+        dist = np.sqrt(np.sum((points[i] - points) ** 2, axis=1)).tolist()
+        best = None
+        for j in range(m):
+            if abs(i - j) <= mean_period:
+                continue
+            if best is None or dist[j] < dist[best]:
+                best = j
+        neighbors.append(best)
+    return neighbors
+
+
 def two_group_table(rng, n_per_group=10, spread=0.02):
     """Two tight groups in the joint (feature, rho) space."""
     a = np.column_stack([

@@ -8,7 +8,7 @@ import pytest
 
 from fisrul.cli import main
 
-from test_datasets import make_phm_dir
+from test_datasets import make_ims_dir, make_phm_dir
 
 
 def sha256(path):
@@ -58,6 +58,30 @@ class TestFeaturesCommand:
         code = main(["features", "--input", str(tmp_path / "nope"),
                      "--format", "phm", "--out", str(tmp_path / "x.csv")])
         assert code == 1
+
+    def test_non_finite_phm_sample_exits_1(self, tmp_path, capsys):
+        root, _ = make_phm_dir(tmp_path)
+        path = root / "acc_00002.csv"
+        lines = path.read_text().splitlines()
+        lines[9] = "9,39,9,900,nan,0.01"
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["features", "--input", str(root), "--format", "phm",
+                     "--features", "rms,ae", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "acc_00002.csv:10: non-finite" in capsys.readouterr().err
+
+    def test_non_finite_ims_sample_exits_1(self, tmp_path, capsys):
+        root, _ = make_ims_dir(tmp_path, ["2003.10.22.12.06.24"])
+        path = root / "2003.10.22.12.06.24"
+        lines = path.read_text().splitlines()
+        cells = lines[99].split("\t")
+        cells[0] = "nan"
+        lines[99] = "\t".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["features", "--input", str(root), "--format", "ims",
+                     "--features", "rms", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "2003.10.22.12.06.24:100: non-finite" in capsys.readouterr().err
 
     def test_csv_format_subsets_columns(self, tmp_path):
         root, _ = make_phm_dir(tmp_path)

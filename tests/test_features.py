@@ -11,6 +11,7 @@ from fisrul.errors import ConfigError
 from fisrul.features import (
     FeatureParams,
     SignalWindow,
+    _theiler_neighbors,
     approximate_entropy,
     correlation_dimension,
     degradation_index,
@@ -22,7 +23,7 @@ from fisrul.features import (
     write_feature_csv,
 )
 
-from conftest import brute_force_apen
+from conftest import brute_force_apen, brute_force_theiler_neighbors
 
 
 def make_window(samples, rate=25600.0, index=1, timestamp=0.0):
@@ -118,6 +119,16 @@ class TestApproximateEntropy:
         expected = brute_force_apen(x, 2, r)
         assert approximate_entropy(make_window(x)) == pytest.approx(expected, abs=1e-12)
 
+    def test_integer_series_with_boundary_ties_matches_brute_force(self):
+        # integer samples with r exactly 1.0: many template pairs sit on the
+        # <= r boundary, spread over many KD-tree leaves
+        x = np.random.default_rng(3).integers(0, 5, 400).astype(float)
+        r_tol = 1.0 / float(np.std(x))
+        assert r_tol * float(np.std(x)) == 1.0
+        expected = brute_force_apen(x, 2, 1.0)
+        assert approximate_entropy(make_window(x), m=2, r_tol=r_tol) == pytest.approx(
+            expected, abs=1e-12)
+
     def test_noise_more_irregular_than_sinusoid(self, rng):
         n = 400
         sine = np.sin(2 * np.pi * np.arange(n) / 25.0)
@@ -173,6 +184,33 @@ class TestLargestLyapunov:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             largest_lyapunov(make_window(np.arange(12.0)), embed_dim=5, embed_lag=3)
+
+    def test_empty_theiler_neighborhood_rejected(self, rng):
+        with pytest.raises(ValueError, match=r"mean_period=100.*m=36"):
+            largest_lyapunov(make_window(rng.standard_normal(40)), embed_lag=1,
+                             mean_period=100)
+
+    @pytest.mark.parametrize("signal", [
+        np.tile(np.arange(7.0), 300),
+        np.random.default_rng(11).integers(0, 4, 2000).astype(float),
+        np.sin(2 * np.pi * np.arange(2000) / 80.0),
+    ], ids=["periodic-integers", "integer-noise", "sinusoid"])
+    def test_theiler_neighbors_match_brute_force(self, signal):
+        points = np.lib.stride_tricks.sliding_window_view(signal, 5)
+        expected = brute_force_theiler_neighbors(points, 7)
+        assert _theiler_neighbors(points, 7).tolist() == expected
+
+
+@pytest.mark.parametrize("kernel", [rms, spectral_entropy, approximate_entropy,
+                                    largest_lyapunov, correlation_dimension])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_samples_rejected(kernel, bad):
+    x = np.sin(np.arange(200) / 5.0)
+    x[17] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        kernel(make_window(x))
+    with pytest.raises(ValueError, match="non-finite"):
+        kernel(x)
 
 
 class TestCorrelationDimension:
