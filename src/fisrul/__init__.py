@@ -26,7 +26,6 @@ from .features import (
 )
 from .fis import (
     Estimate,
-    Rule,
     TSFISModel,
     build_design_matrix,
     identify_baseline,
@@ -36,16 +35,7 @@ from .fis import (
     predict_table,
     save_model,
 )
-from .mixture import (
-    TimeClusterParams,
-    estimate_mixture_components,
-    estimate_time_clusters,
-    mixture_density,
-    normalize_firing,
-    rule_firing,
-    time_membership,
-    weighted_firing,
-)
+from .mixture import TimeClusterParams, estimate_time_clusters
 from .datasets import Recording, load_ims, load_phm, synth_bearing
 from .rul import (
     EvaluationReport,
@@ -67,12 +57,10 @@ __all__ = [
     "approximate_entropy", "correlation_dimension", "degradation_index",
     "extract_features", "largest_lyapunov", "read_feature_csv", "rms",
     "spectral_entropy", "write_feature_csv",
-    "Estimate", "Rule", "TSFISModel", "build_design_matrix",
+    "Estimate", "TSFISModel", "build_design_matrix",
     "identify_baseline", "identify_weighted", "infer", "load_model",
     "predict_table", "save_model",
-    "TimeClusterParams", "estimate_mixture_components",
-    "estimate_time_clusters", "mixture_density", "normalize_firing",
-    "rule_firing", "time_membership", "weighted_firing",
+    "TimeClusterParams", "estimate_time_clusters",
     "Recording", "load_ims", "load_phm", "synth_bearing",
     "EvaluationReport", "arrmse", "evaluate_model", "pul_ratio", "rrmse",
     "rul_from_ratio", "savitzky_golay",

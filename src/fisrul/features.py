@@ -280,6 +280,7 @@ def largest_lyapunov(window, embed_dim: int = 5, embed_lag: int | None = None,
     if n_steps is None:
         n_steps = max(3, min(50, m // 4))
     divergence = np.full(n_steps, np.nan)
+    coincident = np.zeros(n_steps, dtype=bool)  # every pair at distance 0
     for k in range(n_steps):
         keep = (idx + k < m) & (nn + k < m)
         if not np.any(keep):
@@ -288,6 +289,8 @@ def largest_lyapunov(window, embed_dim: int = 5, embed_lag: int | None = None,
         d = d[d > 0.0]
         if d.size:
             divergence[k] = np.mean(np.log(d))
+        else:
+            coincident[k] = True
 
     if fit_range is None:
         fit_range = (0, max(2, n_steps // 3))
@@ -296,6 +299,12 @@ def largest_lyapunov(window, embed_dim: int = 5, embed_lag: int | None = None,
     ys = divergence[ks]
     keep = np.isfinite(ys)
     if np.count_nonzero(keep) < 2:
+        if coincident[ks].any():
+            raise ValueError(
+                "divergence curve too short to fit: at "
+                f"{np.count_nonzero(coincident[ks])} of {ks.size} fit steps every "
+                "tracked neighbour pair sits at distance 0 (coincident "
+                "neighbours, as in an exactly periodic signal)")
         raise ValueError("divergence curve too short to fit")
     slope = np.polyfit(ks[keep], ys[keep], 1)[0]
     return float(slope)
@@ -509,6 +518,19 @@ def write_feature_csv(path, vectors: Sequence[FeatureVector],
             writer.writerow(row)
 
 
+def _csv_float(text: str, path, lineno: int, name: str, finite: bool = True) -> float:
+    """One CSV cell as a float; ConfigError naming the cell when it is not a
+    number (or, with ``finite``, not a finite one)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(
+            f"{path}:{lineno}: column {name!r}: not a number: {text!r}") from None
+    if finite and not math.isfinite(value):
+        raise ConfigError(f"{path}:{lineno}: column {name!r}: non-finite value {text!r}")
+    return value
+
+
 def read_feature_csv(path):
     """Load a feature CSV back into a TrainingTable (rho None when unlabeled)."""
     from .clustering import TrainingTable
@@ -525,9 +547,12 @@ def read_feature_csv(path):
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ConfigError(f"{path}:{lineno}: expected {len(header)} columns")
-            taus.append(float(row[1]))
-            values.append([float(v) for v in row[2:-1]])
-            rhos.append(float(row[-1]) if row[-1] != "" else math.nan)
+            cells = [_csv_float(text, path, lineno, name)
+                     for text, name in zip(row[1:-1], header[1:-1])]
+            taus.append(cells[0])
+            values.append(cells[1:])
+            rhos.append(_csv_float(row[-1], path, lineno, "rho", finite=False)
+                        if row[-1] != "" else math.nan)
     if not taus:
         raise ConfigError(f"{path}: no data rows")
     rho = np.array(rhos)

@@ -10,6 +10,7 @@ degrees, so the consequents absorb population and lifetime information.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -17,14 +18,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .clustering import ClusterSet, TrainingTable
+from .errors import ConfigError
 from .mixture import (
     TimeClusterParams,
     estimate_time_clusters,
     firing_matrix,
-    normalize_firing,
     normalize_rows,
-    rule_firing,
-    weighted_firing,
     weighted_firing_matrix,
 )
 
@@ -34,87 +33,70 @@ MODEL_SCHEMA_VERSION = 1
 SVD_RCOND = 1e-10
 
 
-@dataclass
-class Rule:
-    """One fuzzy rule: input center, affine consequent, optional time cluster."""
+class Rule(NamedTuple):
+    """Read-only view of one rule: input center, affine consequent
+    ``a . v + b`` and, for weighted models, its prior and time cluster."""
 
-    center: np.ndarray            # I input-space coordinates
-    a: np.ndarray                 # consequent slope, I values
+    center: np.ndarray
+    a: np.ndarray
     b: float
-    weight: float = 1.0
     prior: float | None = None
     time_centroid: float | None = None
     time_variance: float | None = None
 
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float)
-        self.a = np.asarray(self.a, dtype=float)
-        if self.center.shape != self.a.shape:
-            raise ValueError("rule center and consequent slope lengths differ")
-
 
 @dataclass
 class TSFISModel:
-    """Identified rule base plus the shared per-feature membership spreads."""
+    """Identified rule base of J rules over I features, stored as arrays."""
 
-    rules: list[Rule]
-    sigmas: np.ndarray
+    centers: np.ndarray                   # J x I rule centers
+    slopes: np.ndarray                    # J x I consequent slopes
+    offsets: np.ndarray                   # J consequent offsets
+    sigmas: np.ndarray                    # I shared membership spreads
+    time_params: TimeClusterParams | None  # weighted variant only
     feature_set: tuple[str, ...]
     variant: str                          # "baseline" or "weighted"
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.rules:
-            raise ValueError("model needs at least one rule")
+        self.centers = np.asarray(self.centers, dtype=float)
+        self.slopes = np.asarray(self.slopes, dtype=float)
+        self.offsets = np.asarray(self.offsets, dtype=float)
         self.sigmas = np.asarray(self.sigmas, dtype=float)
+        self.feature_set = tuple(self.feature_set)
+        if self.centers.ndim != 2 or 0 in self.centers.shape:
+            raise ValueError("model needs a J x I center matrix, J and I >= 1")
+        j, i = self.centers.shape
+        shapes = (self.slopes.shape, self.offsets.shape, self.sigmas.shape)
+        if shapes != ((j, i), (j,), (i,)):
+            raise ValueError("slopes, offsets and sigmas do not match the J x I centers")
         if (self.sigmas <= 0.0).any():
             raise ValueError("membership spreads must be strictly positive")
         if self.variant not in ("baseline", "weighted"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        self.feature_set = tuple(self.feature_set)
-        n = self.sigmas.size
-        for rule in self.rules:
-            if rule.center.size != n or rule.a.size != n:
-                raise ValueError("rule dimensionality does not match sigmas")
-        if self.variant == "weighted":
-            for rule in self.rules:
-                if rule.prior is None or rule.time_centroid is None \
-                        or rule.time_variance is None:
-                    raise ValueError("weighted model rules need time parameters")
+        if (self.variant == "weighted") != (self.time_params is not None):
+            raise ValueError("weighted models, and only they, need time parameters")
+        if self.time_params is not None and self.time_params.n_rules != j:
+            raise ValueError("time parameters do not match the rule count")
 
     @property
     def n_rules(self) -> int:
-        return len(self.rules)
+        return self.centers.shape[0]
 
     @property
     def n_features(self) -> int:
         return self.sigmas.size
 
     @property
-    def centers(self) -> np.ndarray:
-        return np.array([r.center for r in self.rules])
-
-    @property
-    def rule_weights(self) -> np.ndarray:
-        return np.array([r.weight for r in self.rules])
-
-    @property
-    def slopes(self) -> np.ndarray:
-        return np.array([r.a for r in self.rules])
-
-    @property
-    def offsets(self) -> np.ndarray:
-        return np.array([r.b for r in self.rules])
-
-    @property
-    def time_params(self) -> TimeClusterParams | None:
-        if self.variant != "weighted":
-            return None
-        return TimeClusterParams(
-            priors=np.array([r.prior for r in self.rules]),
-            centroids=np.array([r.time_centroid for r in self.rules]),
-            variances=np.array([r.time_variance for r in self.rules]),
-        )
+    def rules(self) -> tuple[Rule, ...]:
+        """One read-only Rule view per rule, taken from the arrays."""
+        tp = self.time_params
+        return tuple(
+            Rule(self.centers[j], self.slopes[j], float(self.offsets[j]),
+                 *(() if tp is None else (float(tp.priors[j]),
+                                          float(tp.centroids[j]),
+                                          float(tp.variances[j]))))
+            for j in range(self.n_rules))
 
 
 class Estimate(NamedTuple):
@@ -125,8 +107,20 @@ class Estimate(NamedTuple):
     clamped: float
 
 
+def _estimates(model: TSFISModel, x: np.ndarray, taus) -> np.ndarray:
+    """Raw estimates for the rows of a K x I float matrix: the one firing
+    path behind both infer and predict_table."""
+    if model.time_params is not None:
+        w = weighted_firing_matrix(x, taus, model.centers, model.sigmas,
+                                   model.time_params)
+    else:
+        w = normalize_rows(firing_matrix(x, model.centers, model.sigmas))
+    consequents = x @ model.slopes.T + model.offsets[None, :]
+    return np.sum(w * consequents, axis=1)
+
+
 def infer(model: TSFISModel, values, tau: float | None = None) -> Estimate:
-    """Evaluate the rule base on one observation.
+    """Evaluate the rule base on one observation: the one-row predict_table.
 
     Weighted models additionally weight each rule by its prior and by the
     time membership of the observation, so ``tau`` must be provided.
@@ -135,31 +129,17 @@ def infer(model: TSFISModel, values, tau: float | None = None) -> Estimate:
     if v.size != model.n_features:
         raise ValueError(
             f"expected {model.n_features} feature values, got {v.size}")
-    if model.variant == "weighted":
-        if tau is None:
-            raise ValueError("weighted model requires the observation time tau")
-        w = weighted_firing(v, tau, model.centers, model.sigmas,
-                            model.time_params, model.rule_weights)
-    else:
-        w = normalize_firing(rule_firing(v, model.centers, model.sigmas,
-                                         model.rule_weights))
-    raw = float(w @ (model.slopes @ v + model.offsets))
+    if model.variant == "weighted" and tau is None:
+        raise ValueError("weighted model requires the observation time tau")
+    raw = float(_estimates(model, v.reshape(1, -1), [tau])[0])
     return Estimate(raw, min(max(raw, 0.0), 1.0))
 
 
 def predict_table(model: TSFISModel, features, taus=None) -> np.ndarray:
     """Raw ratio estimates for every row of a feature matrix."""
-    x = np.atleast_2d(np.asarray(features, dtype=float))
-    if model.variant == "weighted":
-        if taus is None:
-            raise ValueError("weighted model requires observation times")
-        w = weighted_firing_matrix(x, taus, model.centers, model.sigmas,
-                                   model.time_params, model.rule_weights)
-    else:
-        w = normalize_rows(firing_matrix(x, model.centers, model.sigmas,
-                                         model.rule_weights))
-    consequents = x @ model.slopes.T + model.offsets[None, :]
-    return np.sum(w * consequents, axis=1)
+    if model.variant == "weighted" and taus is None:
+        raise ValueError("weighted model requires observation times")
+    return _estimates(model, np.atleast_2d(np.asarray(features, dtype=float)), taus)
 
 
 def build_design_matrix(features, degrees) -> np.ndarray:
@@ -196,13 +176,21 @@ def solve_consequents(design, targets) -> np.ndarray:
     return beta
 
 
-def _consequent_rules(clusters: ClusterSet, beta: np.ndarray) -> list[Rule]:
-    n_inputs = clusters.input_centers.shape[1]
-    rules = []
-    for j, center in enumerate(clusters.input_centers):
-        block = beta[j * (n_inputs + 1) : (j + 1) * (n_inputs + 1)]
-        rules.append(Rule(center=center.copy(), a=block[:-1], b=float(block[-1])))
-    return rules
+def _identified(table: TrainingTable, clusters: ClusterSet, beta: np.ndarray,
+                time_params: TimeClusterParams | None,
+                provenance: dict | None) -> TSFISModel:
+    """Model from the rule-major solution [a_1, b_1, ..., a_J, b_J]."""
+    blocks = beta.reshape(clusters.n_rules, -1)
+    return TSFISModel(
+        centers=clusters.input_centers.copy(),
+        slopes=blocks[:, :-1],
+        offsets=blocks[:, -1],
+        sigmas=clusters.sigmas.copy(),
+        time_params=time_params,
+        feature_set=table.feature_names,
+        variant="baseline" if time_params is None else "weighted",
+        provenance=provenance or {},
+    )
 
 
 def identify_baseline(table: TrainingTable, clusters: ClusterSet,
@@ -214,13 +202,7 @@ def identify_baseline(table: TrainingTable, clusters: ClusterSet,
     wbar = normalize_rows(w)
     design = build_design_matrix(table.features, wbar)
     beta = solve_consequents(design, table.rho)
-    return TSFISModel(
-        rules=_consequent_rules(clusters, beta),
-        sigmas=clusters.sigmas.copy(),
-        feature_set=table.feature_names,
-        variant="baseline",
-        provenance=provenance or {},
-    )
+    return _identified(table, clusters, beta, None, provenance)
 
 
 def identify_weighted(table: TrainingTable, clusters: ClusterSet,
@@ -244,18 +226,7 @@ def identify_weighted(table: TrainingTable, clusters: ClusterSet,
                                   time_params)
     design = build_design_matrix(table.features, wtil)
     beta = solve_consequents(design, table.rho)
-    rules = _consequent_rules(clusters, beta)
-    for j, rule in enumerate(rules):
-        rule.prior = float(time_params.priors[j])
-        rule.time_centroid = float(time_params.centroids[j])
-        rule.time_variance = float(time_params.variances[j])
-    return TSFISModel(
-        rules=rules,
-        sigmas=clusters.sigmas.copy(),
-        feature_set=table.feature_names,
-        variant="weighted",
-        provenance=provenance or {},
-    )
+    return _identified(table, clusters, beta, time_params, provenance)
 
 
 def save_model(model: TSFISModel, path) -> None:
@@ -269,8 +240,7 @@ def save_model(model: TSFISModel, path) -> None:
             {
                 "center": [float(c) for c in rule.center],
                 "a": [float(a) for a in rule.a],
-                "b": float(rule.b),
-                "weight": float(rule.weight),
+                "b": rule.b,
                 "prior": rule.prior,
                 "time_centroid": rule.time_centroid,
                 "time_variance": rule.time_variance,
@@ -284,29 +254,71 @@ def save_model(model: TSFISModel, path) -> None:
         fh.write("\n")
 
 
+def _numbers(value, where: str, size: int | None = None):
+    """Check that ``value`` is a finite JSON number (size None) or a list of
+    ``size`` of them; ConfigError naming ``where`` otherwise."""
+    items = [value] if size is None else value
+    if not (isinstance(items, list) and (size is None or len(items) == size)
+            and all(type(x) in (int, float) and math.isfinite(x) for x in items)):
+        expected = "a finite number" if size is None else f"a list of {size} finite numbers"
+        raise ConfigError(f"{where}: expected {expected}, got {value!r}")
+
+
 def load_model(path) -> TSFISModel:
-    """Load a model persisted by save_model; inference round-trips exactly."""
+    """Load a model persisted by save_model; inference round-trips exactly.
+
+    A malformed document raises ConfigError naming the file and, for a bad
+    rule, its index.  Schema-v1 rules written by earlier versions carry
+    ``"weight": 1.0``; any other rule weight is rejected, since the model
+    has no rule weights.
+    """
     with open(path) as fh:
-        doc = json.load(fh)
-    version = doc.get("schema_version")
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not a JSON document: {exc}") from None
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != MODEL_SCHEMA_VERSION:
-        raise ValueError(f"unsupported model schema version: {version}")
-    rules = [
-        Rule(
-            center=np.array(r["center"], dtype=float),
-            a=np.array(r["a"], dtype=float),
-            b=float(r["b"]),
-            weight=float(r.get("weight", 1.0)),
-            prior=r.get("prior"),
-            time_centroid=r.get("time_centroid"),
-            time_variance=r.get("time_variance"),
+        raise ConfigError(f"{path}: unsupported model schema version: {version}")
+    missing = [k for k in ("variant", "feature_set", "sigmas", "rules") if k not in doc]
+    if missing:
+        raise ConfigError(f"{path}: missing key(s) {missing}")
+    sigmas, rules = doc["sigmas"], doc["rules"]
+    n = len(sigmas) if isinstance(sigmas, list) else -1
+    _numbers(sigmas, f"{path}: sigmas", n)
+    if not isinstance(rules, list) or not rules:
+        raise ConfigError(f"{path}: rules must be a non-empty list")
+    keys = ("center", "a", "b")
+    if doc["variant"] == "weighted":
+        keys += ("prior", "time_centroid", "time_variance")
+    for j, rule in enumerate(rules):
+        where = f"{path}: rule {j}"
+        missing = [k for k in keys if not isinstance(rule, dict) or rule.get(k) is None]
+        if missing:
+            raise ConfigError(f"{where}: missing key(s) {missing}")
+        if rule.get("weight", 1.0) != 1.0:
+            raise ConfigError(f"{where}: rule weight {rule['weight']!r} is not "
+                              "supported (only 1.0)")
+        for key in keys:
+            _numbers(rule[key], f"{where}: {key}", n if key in ("center", "a") else None)
+
+    def column(key):
+        return np.array([rule[key] for rule in rules], dtype=float)
+
+    try:
+        time_params = None
+        if doc["variant"] == "weighted":
+            time_params = TimeClusterParams(column("prior"), column("time_centroid"),
+                                            column("time_variance"))
+        return TSFISModel(
+            centers=column("center"),
+            slopes=column("a"),
+            offsets=column("b"),
+            sigmas=np.array(sigmas, dtype=float),
+            time_params=time_params,
+            feature_set=tuple(doc["feature_set"]),
+            variant=doc["variant"],
+            provenance=doc.get("provenance", {}),
         )
-        for r in doc["rules"]
-    ]
-    return TSFISModel(
-        rules=rules,
-        sigmas=np.array(doc["sigmas"], dtype=float),
-        feature_set=tuple(doc["feature_set"]),
-        variant=doc["variant"],
-        provenance=doc.get("provenance", {}),
-    )
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

@@ -5,7 +5,9 @@ probability that an observation belongs to the rule's degradation regime.
 Averaging those probabilities gives per-rule priors, and projecting them
 onto the observation times gives a Gaussian time cluster per rule; both are
 then used to weight the fulfillment degrees during identification and
-online inference.
+online inference.  Every operation works on K x J matrices; the one-row
+names (rule_firing, normalize_firing, weighted_firing) return row 0 of
+their batch twin.
 """
 
 from __future__ import annotations
@@ -44,42 +46,24 @@ class TimeClusterParams:
         return self.priors.size
 
 
-def rule_firing(values, centers, sigmas, rule_weights=None) -> np.ndarray:
-    """Degree of fulfillment of each rule: the product of per-feature
-    Gaussian memberships, scaled by the rule weight."""
-    v = np.asarray(values, dtype=float)
-    c = np.atleast_2d(np.asarray(centers, dtype=float))
-    s = np.asarray(sigmas, dtype=float)
-    z = (v[None, :] - c) / s
-    w = np.exp(-0.5 * np.sum(z * z, axis=1))
-    if rule_weights is not None:
-        w = np.asarray(rule_weights, dtype=float) * w
-    return w
-
-
-def firing_matrix(features, centers, sigmas, rule_weights=None) -> np.ndarray:
-    """Unnormalized fulfillment degrees for every row: K x J."""
+def firing_matrix(features, centers, sigmas) -> np.ndarray:
+    """Unnormalized fulfillment degrees for every row, K x J: the product of
+    per-feature Gaussian memberships of each rule."""
     x = np.atleast_2d(np.asarray(features, dtype=float))
     c = np.atleast_2d(np.asarray(centers, dtype=float))
     s = np.asarray(sigmas, dtype=float)
     z = (x[:, None, :] - c[None, :, :]) / s
-    w = np.exp(-0.5 * np.sum(z * z, axis=2))
-    if rule_weights is not None:
-        w = w * np.asarray(rule_weights, dtype=float)[None, :]
-    return w
+    return np.exp(-0.5 * np.sum(z * z, axis=2))
 
 
-def normalize_firing(w) -> np.ndarray:
-    """Normalize degrees to sum to 1; an all-underflowed vector turns uniform."""
-    w = np.asarray(w, dtype=float)
-    total = w.sum()
-    if total < UNDERFLOW_FLOOR:
-        return np.full(w.shape, 1.0 / w.size)
-    return w / total
+def rule_firing(values, centers, sigmas) -> np.ndarray:
+    """Degrees of one observation: the single row of firing_matrix."""
+    return firing_matrix(values, centers, sigmas)[0]
 
 
 def normalize_rows(w_matrix) -> np.ndarray:
-    """Row-wise normalize_firing for a K x J degree matrix."""
+    """Normalize each row of a K x J degree matrix to sum to 1; a row whose
+    sum underflows turns uniform."""
     w = np.atleast_2d(np.asarray(w_matrix, dtype=float))
     totals = w.sum(axis=1, keepdims=True)
     underflow = totals[:, 0] < UNDERFLOW_FLOOR
@@ -88,6 +72,11 @@ def normalize_rows(w_matrix) -> np.ndarray:
     if underflow.any():
         out[underflow] = 1.0 / w.shape[1]
     return out
+
+
+def normalize_firing(w) -> np.ndarray:
+    """Normalize degrees to sum to 1; an all-underflowed vector turns uniform."""
+    return normalize_rows(w)[0]
 
 
 def estimate_time_clusters(taus, wbar) -> TimeClusterParams:
@@ -131,64 +120,17 @@ def time_membership(tau, centroid, variance):
     return np.exp(-((tau - centroid) ** 2) / (2.0 * np.asarray(variance, dtype=float)))
 
 
-def weighted_firing(values, tau, centers, sigmas, time_params: TimeClusterParams,
-                    rule_weights=None) -> np.ndarray:
-    """Fulfillment degrees weighted by prior and time membership, normalized."""
-    w = rule_firing(values, centers, sigmas, rule_weights)
-    mt = time_membership(tau, time_params.centroids, time_params.variances)
-    return normalize_firing(time_params.priors * mt * w)
-
-
 def weighted_firing_matrix(features, taus, centers, sigmas,
-                           time_params: TimeClusterParams,
-                           rule_weights=None) -> np.ndarray:
+                           time_params: TimeClusterParams) -> np.ndarray:
     """Row-normalized prior- and time-weighted degrees for every row: K x J."""
-    w = firing_matrix(features, centers, sigmas, rule_weights)
+    w = firing_matrix(features, centers, sigmas)
     taus = np.asarray(taus, dtype=float)
     mt = time_membership(taus[:, None], time_params.centroids[None, :],
                          time_params.variances[None, :])
     return normalize_rows(time_params.priors[None, :] * mt * w)
 
 
-def estimate_mixture_components(features, wbar):
-    """Feature-space analogue of the time projection: per-rule mixing weight,
-    mean vector and per-feature variance, closed form.
-
-    Returned as (weights J, means J x I, variances J x I); the covariances
-    are diagonal by construction.  Diagnostic companion to the identification
-    path, which only consumes the time-axis projection.
-    """
-    x = np.atleast_2d(np.asarray(features, dtype=float))
-    w = np.atleast_2d(np.asarray(wbar, dtype=float))
-    if x.shape[0] != w.shape[0]:
-        raise ValueError("feature rows must match degree-matrix rows")
-    weights = w.mean(axis=0)
-    mass = w.sum(axis=0)
-    means = (w.T @ x) / mass[:, None]
-    centered_sq = (x[:, None, :] - means[None, :, :]) ** 2
-    variances = np.einsum("kj,kji->ji", w, centered_sq) / mass[:, None]
-    return weights, means, variances
-
-
-def mixture_density(values, weights, means, variances):
-    """Mixture density of diagonal Gaussians and the per-component posterior.
-
-    Returns (density, posteriors); posteriors follow Bayes' rule and sum to 1.
-    When the density underflows to zero the posterior falls back to uniform.
-    """
-    v = np.asarray(values, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    means = np.atleast_2d(np.asarray(means, dtype=float))
-    variances = np.atleast_2d(np.asarray(variances, dtype=float))
-    if abs(weights.sum() - 1.0) > 1e-6:
-        raise ValueError(f"mixing weights must sum to 1, got {weights.sum()}")
-    if (variances <= 0.0).any():
-        raise ValueError("component covariances must be positive definite")
-    log_g = -0.5 * np.sum(
-        (v[None, :] - means) ** 2 / variances + np.log(2.0 * np.pi * variances),
-        axis=1)
-    contrib = weights * np.exp(log_g)
-    density = float(contrib.sum())
-    if density < UNDERFLOW_FLOOR:
-        return density, np.full(weights.shape, 1.0 / weights.size)
-    return density, contrib / density
+def weighted_firing(values, tau, centers, sigmas,
+                    time_params: TimeClusterParams) -> np.ndarray:
+    """Weighted, normalized degrees of one observation at time tau."""
+    return weighted_firing_matrix(values, [tau], centers, sigmas, time_params)[0]

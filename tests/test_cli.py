@@ -226,6 +226,38 @@ class TestPredictCommand:
         assert code == 2
 
 
+class TestMalformedInputs:
+    @pytest.mark.parametrize("edit", [
+        lambda rule: rule.pop("b"),
+        lambda rule: rule["a"].append(0.5),
+        lambda rule: rule.update(center=["x"] * len(rule["center"])),
+        lambda rule: rule.update(weight=0.5),
+    ], ids=["missing-key", "wrong-length", "non-numeric", "rule-weight"])
+    def test_bad_model_rule_exits_2(self, edit, synth_csvs, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        assert main(["train", "--train", str(synth_csvs["train_a"]),
+                     "--out", str(model_path)]) == 0
+        doc = json.loads(model_path.read_text())
+        edit(doc["rules"][0])
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model_path), "--input",
+                     str(synth_csvs["test_a"]), "--out", str(tmp_path / "p.csv")])
+        assert code == 2
+        assert f"error: {model_path}: rule 0: " in capsys.readouterr().err
+
+    def test_bad_feature_cell_exits_2(self, synth_csvs, tmp_path, capsys):
+        lines = synth_csvs["train_a"].read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[2] = "abc"
+        lines[5] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(["train", "--train", str(bad), "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert f"error: {bad}:6: column " in capsys.readouterr().err
+
+
 class TestEvaluateCommand:
     def test_reports_written(self, synth_csvs, tmp_path, capsys):
         model_path = tmp_path / "model.json"

@@ -1,6 +1,7 @@
 """Feature extraction: frozen oracle values and invariants."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -190,6 +191,11 @@ class TestLargestLyapunov:
             largest_lyapunov(make_window(rng.standard_normal(40)), embed_lag=1,
                              mean_period=100)
 
+    def test_coincident_neighbours_named(self):
+        # every neighbour of an exactly periodic signal repeats it exactly
+        with pytest.raises(ValueError, match="distance 0"):
+            largest_lyapunov(make_window(np.tile(np.arange(7.0), 300)))
+
     @pytest.mark.parametrize("signal", [
         np.tile(np.arange(7.0), 300),
         np.random.default_rng(11).integers(0, 4, 2000).astype(float),
@@ -337,3 +343,31 @@ class TestExtractFeatures:
         b = extract_features(windows, ["rms", "se", "ae"], params)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.values, y.values)
+
+
+class TestReadFeatureCsv:
+    def write(self, tmp_path, rows):
+        path = tmp_path / "table.csv"
+        path.write_text("k,tau,rms,se,rho\n" + "".join(r + "\n" for r in rows))
+        return path
+
+    def test_non_numeric_feature_cell_located(self, tmp_path):
+        path = self.write(tmp_path, ["1,10.0,0.5,0.2,0.1", "2,20.0,abc,0.3,0.2"])
+        with pytest.raises(ConfigError, match=rf"{re.escape(str(path))}:3: column 'rms': .*'abc'"):
+            read_feature_csv(path)
+
+    def test_non_finite_feature_cell_located(self, tmp_path):
+        path = self.write(tmp_path, ["1,10.0,0.5,nan,0.1"])
+        with pytest.raises(ConfigError, match=rf"{re.escape(str(path))}:2: column 'se': non-finite"):
+            read_feature_csv(path)
+
+    def test_non_finite_tau_located(self, tmp_path):
+        path = self.write(tmp_path, ["1,10.0,0.5,0.2,0.1", "2,inf,0.6,0.3,0.2"])
+        with pytest.raises(ConfigError, match=rf"{re.escape(str(path))}:3: column 'tau': non-finite"):
+            read_feature_csv(path)
+
+    def test_empty_rho_allowed(self, tmp_path):
+        table = read_feature_csv(self.write(tmp_path, ["1,10.0,0.5,0.2,",
+                                                       "2,20.0,0.6,0.3,"]))
+        assert table.rho is None
+        np.testing.assert_array_equal(table.features, [[0.5, 0.2], [0.6, 0.3]])

@@ -1,14 +1,16 @@
 """Rule base inference, identification variants, and persistence."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fisrul.clustering import ClusterConfig, ClusterSet, TrainingTable, subtractive_cluster
 from fisrul.datasets import synth_bearing
 from fisrul.fis import (
-    Rule,
     TSFISModel,
     build_design_matrix,
     identify_baseline,
@@ -18,19 +20,29 @@ from fisrul.fis import (
     predict_table,
     save_model,
 )
-from fisrul.mixture import firing_matrix, normalize_rows
+from fisrul.mixture import TimeClusterParams, firing_matrix, normalize_rows
+
+from conftest import random_rule_base
+
+
+def array_model(centers, slopes, offsets, sigmas, time_params=None):
+    """Model straight from its arrays; weighted when time_params is given."""
+    return TSFISModel(
+        centers=centers,
+        slopes=slopes,
+        offsets=offsets,
+        sigmas=sigmas,
+        time_params=time_params,
+        feature_set=tuple(f"f{i+1}" for i in range(np.shape(centers)[1])),
+        variant="baseline" if time_params is None else "weighted",
+    )
 
 
 def single_rule_model(a, b, center=(0.0,), sigma=(1.0,), variant="baseline"):
-    kwargs = {}
+    time_params = None
     if variant == "weighted":
-        kwargs = {"prior": 1.0, "time_centroid": 50.0, "time_variance": 100.0}
-    return TSFISModel(
-        rules=[Rule(center=np.array(center), a=np.array(a), b=b, **kwargs)],
-        sigmas=np.array(sigma),
-        feature_set=tuple(f"f{i+1}" for i in range(len(center))),
-        variant=variant,
-    )
+        time_params = TimeClusterParams([1.0], [50.0], [100.0])
+    return array_model([center], [a], [b], sigma, time_params)
 
 
 def mirror_table_and_clusters(n_pairs=10):
@@ -87,25 +99,14 @@ class TestInfer:
 
     def test_identical_consequents_reduce_to_affine(self, rng):
         a, b = np.array([0.2, -0.1]), 0.4
-        model = TSFISModel(
-            rules=[Rule(center=np.array([0.0, 0.0]), a=a, b=b),
-                   Rule(center=np.array([1.0, 1.0]), a=a, b=b)],
-            sigmas=np.array([0.5, 0.5]),
-            feature_set=("f1", "f2"),
-            variant="baseline",
-        )
+        model = array_model([[0.0, 0.0], [1.0, 1.0]], [a, a], [b, b], [0.5, 0.5])
         for _ in range(5):
             v = rng.normal(size=2)
             assert infer(model, v).raw == pytest.approx(float(a @ v + b), rel=1e-12)
 
     def test_hand_traced_two_rule_model(self):
-        model = TSFISModel(
-            rules=[Rule(center=np.array([0.0, 1.0]), a=np.array([0.1, 0.2]), b=0.1),
-                   Rule(center=np.array([2.0, 3.0]), a=np.array([-0.3, 0.5]), b=0.9)],
-            sigmas=np.array([1.0, 2.0]),
-            feature_set=("f1", "f2"),
-            variant="baseline",
-        )
+        model = array_model([[0.0, 1.0], [2.0, 3.0]], [[0.1, 0.2], [-0.3, 0.5]],
+                            [0.1, 0.9], [1.0, 2.0])
         v = [1.0, 2.0]
         w1 = math.exp(-((1.0 - 0.0) ** 2 / 2.0 + (2.0 - 1.0) ** 2 / 8.0))
         w2 = math.exp(-((1.0 - 2.0) ** 2 / 2.0 + (2.0 - 3.0) ** 2 / 8.0))
@@ -126,22 +127,6 @@ class TestInfer:
             infer(model, [0.0])
         assert infer(model, [0.0], tau=10.0).raw == pytest.approx(0.5)
 
-    def test_rule_weight_rescaling_invariance(self, rng):
-        table = synth_bearing(3, noise=0.02)
-        clusters = subtractive_cluster(table)
-        model = identify_baseline(table, clusters)
-        scaled = TSFISModel(
-            rules=[Rule(center=r.center, a=r.a, b=r.b, weight=0.37)
-                   for r in model.rules],
-            sigmas=model.sigmas,
-            feature_set=model.feature_set,
-            variant="baseline",
-        )
-        for _ in range(5):
-            v = rng.normal(0.7, 0.3, size=2)
-            assert infer(scaled, v).raw == pytest.approx(infer(model, v).raw,
-                                                         rel=1e-12)
-
     def test_predict_table_matches_infer(self, rng):
         table = synth_bearing(5, noise=0.02)
         clusters = subtractive_cluster(table)
@@ -151,6 +136,38 @@ class TestInfer:
             for k in (0, 7, 63, 119):
                 one = infer(model, table.features[k], tau=table.taus[k])
                 assert rows[k] == pytest.approx(one.raw, rel=1e-12)
+
+
+    @given(seed=st.integers(0, 2**32 - 1), weighted=st.booleans(),
+           tau=st.one_of(st.floats(-50.0, 150.0),
+                         st.sampled_from([-1e6, 1e6, 1e9])))
+    @settings(max_examples=60, deadline=None)
+    def test_infer_is_one_row_predict_table(self, seed, weighted, tau):
+        rng = np.random.default_rng(seed)
+        centers, sigmas, time_params = random_rule_base(rng)
+        model = array_model(centers, rng.normal(size=centers.shape),
+                            rng.normal(size=centers.shape[0]), sigmas,
+                            time_params if weighted else None)
+        x = rng.normal(0.0, 2.0, size=sigmas.size)
+        assert infer(model, x, tau).raw == predict_table(model, x[None], [tau])[0]
+
+    def test_tau_far_from_every_time_cluster_averages_rules(self):
+        # every time membership underflows, so the degrees fall back to uniform
+        params = TimeClusterParams([0.5, 0.5], [10.0, 20.0], [4.0, 4.0])
+        model = array_model([[0.0], [1.0]], [[0.0], [0.0]], [0.2, 0.6], [0.5],
+                            params)
+        assert infer(model, [0.0], tau=1e9).raw == pytest.approx(0.4, rel=1e-15)
+
+    @pytest.mark.parametrize("field, value", [
+        ("centers", np.zeros((0, 1))), ("slopes", np.zeros((2, 1))),
+        ("offsets", np.zeros(2)), ("sigmas", np.ones(2)),
+    ])
+    def test_shape_mismatch_rejected(self, field, value):
+        arrays = {"centers": [[0.0]], "slopes": [[1.0]], "offsets": [0.5],
+                  "sigmas": [1.0], field: value}
+        with pytest.raises(ValueError):
+            TSFISModel(**arrays, time_params=None, feature_set=("f1",),
+                       variant="baseline")
 
 
 class TestIdentifyBaseline:
@@ -284,6 +301,44 @@ class TestPersistence:
             tau = rng.uniform(0.0, 1200.0)
             assert infer(loaded, v, tau).raw == pytest.approx(
                 infer(model, v, tau).raw, abs=1e-12)
+
+    @pytest.mark.parametrize("identify", [identify_baseline, identify_weighted])
+    def test_loaded_copy_predicts_bit_identically(self, identify, tmp_path):
+        table = synth_bearing(6, noise=0.05)
+        model = identify(table, subtractive_cluster(table))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        np.testing.assert_array_equal(
+            predict_table(loaded, table.features, table.taus),
+            predict_table(model, table.features, table.taus))
+        assert all("weight" not in rule
+                   for rule in json.loads(path.read_text())["rules"])
+
+    def test_schema_v1_document_with_unit_weights_round_trips(self, tmp_path, rng):
+        rules = [
+            {"center": [0.1, 0.2], "a": [0.3, -0.1], "b": 0.2, "weight": 1.0,
+             "prior": 0.25, "time_centroid": 100.0, "time_variance": 400.0},
+            {"center": [0.9, 1.1], "a": [0.1, 0.4], "b": -0.1, "weight": 1.0,
+             "prior": 0.75, "time_centroid": 700.0, "time_variance": 2500.0},
+        ]
+        doc = {"schema_version": 1, "variant": "weighted",
+               "feature_set": ["f1", "f2"], "sigmas": [0.5, 0.8],
+               "rules": rules, "provenance": {}}
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(doc))
+        loaded = load_model(path)
+        expected = array_model(
+            [[0.1, 0.2], [0.9, 1.1]], [[0.3, -0.1], [0.1, 0.4]], [0.2, -0.1],
+            [0.5, 0.8], TimeClusterParams([0.25, 0.75], [100.0, 700.0],
+                                          [400.0, 2500.0]))
+        x, taus = rng.uniform(0.0, 1.2, size=(20, 2)), np.linspace(0, 1000, 20)
+        np.testing.assert_array_equal(predict_table(loaded, x, taus),
+                                      predict_table(expected, x, taus))
+        save_model(loaded, tmp_path / "again.json")
+        again = json.loads((tmp_path / "again.json").read_text())
+        assert again["rules"] == [{k: v for k, v in r.items() if k != "weight"}
+                                  for r in rules]
 
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "model.json"

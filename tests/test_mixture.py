@@ -1,4 +1,4 @@
-"""Fulfillment degrees, time projection and the mixture diagnostics."""
+"""Fulfillment degrees and their time projection."""
 
 import math
 
@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from fisrul.mixture import (
     TimeClusterParams,
-    estimate_mixture_components,
     estimate_time_clusters,
     firing_matrix,
-    mixture_density,
     normalize_firing,
     normalize_rows,
     rule_firing,
@@ -36,10 +34,6 @@ class TestRuleFiring:
         # offsets of one and two sigmas multiply to exp(-2.5)
         w = rule_firing([1.0 + 0.3, 2.0 + 0.8], [[1.0, 2.0]], [0.3, 0.4])
         assert w[0] == pytest.approx(math.exp(-2.5), rel=1e-12)
-
-    def test_rule_weight_scales(self):
-        w = rule_firing([1.0], [[1.0]], [0.5], rule_weights=[0.25])
-        assert w[0] == pytest.approx(0.25)
 
     def test_matrix_matches_per_row(self, rng):
         centers, sigmas, _ = random_rule_base(rng, n_rules=3, n_features=2)
@@ -184,62 +178,3 @@ class TestWeightedFiring:
         v = rng.normal(size=sigmas.size)
         w = weighted_firing(v, rng.uniform(0, 100), centers, sigmas, params)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-class TestMixtureDensity:
-    def test_single_component_posterior(self, rng):
-        density, posterior = mixture_density(
-            rng.normal(size=2), [1.0], [[0.0, 0.0]], [[1.0, 1.0]])
-        assert density > 0.0
-        np.testing.assert_array_equal(posterior, [1.0])
-
-    def test_symmetric_midpoint(self):
-        _, posterior = mixture_density(
-            [0.0], [0.5, 0.5], [[-1.0], [1.0]], [[1.0], [1.0]])
-        np.testing.assert_allclose(posterior, [0.5, 0.5], atol=1e-12)
-
-    def test_one_dimensional_density_matches_direct_formula(self):
-        weights = [0.3, 0.7]
-        means = [[-0.5], [1.5]]
-        variances = [[0.8], [2.0]]
-        point = [0.4]
-        density, posterior = mixture_density(point, weights, means, variances)
-
-        def normal_pdf(x, mu, var):
-            return math.exp(-((x - mu) ** 2) / (2 * var)) / math.sqrt(
-                2 * math.pi * var)
-
-        direct = 0.3 * normal_pdf(0.4, -0.5, 0.8) + 0.7 * normal_pdf(0.4, 1.5, 2.0)
-        assert density == pytest.approx(direct, rel=1e-12)
-        assert posterior.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_posteriors_sum_to_one_from_identified_parameters(self, rng):
-        features = rng.normal(size=(30, 2))
-        wbar = normalize_rows(rng.uniform(0.1, 1.0, size=(30, 3)))
-        weights, means, variances = estimate_mixture_components(features, wbar)
-        variances = np.maximum(variances, 1e-6)
-        for row in features[:5]:
-            _, posterior = mixture_density(row, weights, means, variances)
-            assert posterior.sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_non_positive_definite_rejected(self):
-        with pytest.raises(ValueError):
-            mixture_density([0.0], [1.0], [[0.0]], [[0.0]])
-
-
-class TestEstimateMixtureComponents:
-    def test_matches_brute_force(self, rng):
-        k, j, i = 25, 3, 2
-        x = rng.normal(size=(k, i))
-        wbar = normalize_rows(rng.uniform(0.05, 1.0, size=(k, j)))
-        weights, means, variances = estimate_mixture_components(x, wbar)
-        for col in range(j):
-            mass = sum(wbar[row, col] for row in range(k))
-            assert weights[col] == pytest.approx(mass / k, rel=1e-12)
-            for dim in range(i):
-                mean = sum(x[row, dim] * wbar[row, col] for row in range(k)) / mass
-                var = sum(
-                    (x[row, dim] - mean) ** 2 * wbar[row, col] for row in range(k)
-                ) / mass
-                assert means[col, dim] == pytest.approx(mean, rel=1e-12)
-                assert variances[col, dim] == pytest.approx(var, rel=1e-12)

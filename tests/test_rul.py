@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fisrul.clustering import TrainingTable
 from fisrul.errors import ConfigError
-from fisrul.fis import Rule, TSFISModel
+from fisrul.fis import TSFISModel
 from fisrul.rul import (
     arrmse,
     evaluate_model,
@@ -173,8 +173,11 @@ class TestEvaluateModel:
     def perfect_model_and_table(self):
         # single rule with consequent rho = 0.5 * v: data on that exact line
         model = TSFISModel(
-            rules=[Rule(center=np.array([1.0]), a=np.array([0.5]), b=0.0)],
+            centers=np.array([[1.0]]),
+            slopes=np.array([[0.5]]),
+            offsets=np.array([0.0]),
             sigmas=np.array([0.5]),
+            time_params=None,
             feature_set=("f1",),
             variant="baseline",
         )
