@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
-import warnings
 from pathlib import Path
-
-import numpy as np
 
 from .clustering import ClusterConfig, concat_tables, subtractive_cluster
 from .datasets import iter_ims, iter_phm, synth_bearing
@@ -31,10 +30,12 @@ from .features import (
     read_feature_csv,
     write_feature_csv,
 )
-from .fis import identify_baseline, identify_weighted, load_model, predict_table, save_model
-from .rul import evaluate_model, rul_from_ratio, smooth_rul, write_curves_csv, write_summary_csv
+from .fis import identify_baseline, identify_weighted, load_model, save_model
+from .rul import _cell, evaluate_model, rul_curves, write_curves_csv, write_summary_csv
 
 CONFIG_SCHEMA_VERSION = 1
+
+IDENTIFY = {"baseline": identify_baseline, "weighted": identify_weighted}
 
 
 def _log(message: str) -> None:
@@ -45,55 +46,63 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not a JSON document: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {cfg!r}")
     version = cfg.get("version", CONFIG_SCHEMA_VERSION)
     if version != CONFIG_SCHEMA_VERSION:
-        raise ConfigError(f"unsupported config version: {version}")
+        raise ConfigError(f"{path}: unsupported config version: {version}")
     return cfg
 
 
+def _section(args, cfg: dict, name: str, defaults: dict) -> dict:
+    """Config section ``name``: an object whose keys are in ``defaults`` and
+    whose values are numbers (integers where the default is one, a pair of
+    them for ``lle_fit_range``), or null where the default is null;
+    ConfigError naming the file and key otherwise."""
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{args.config}: section {name!r} is not an object")
+    for key, value in section.items():
+        if key not in defaults:
+            raise ConfigError(f"{args.config}: {name}: unknown key {key!r}")
+        kinds = (int,) if type(defaults[key]) is int else (int, float)
+        pair = key == "lle_fit_range" and isinstance(value, list) and len(value) == 2
+        cells = value if pair else [value]
+        if not (value is None and defaults[key] is None or all(
+                type(c) in kinds and math.isfinite(c) for c in cells)):
+            raise ConfigError(f"{args.config}: {name}.{key}: not a number: {value!r}")
+    return section
+
+
 def _effective_cluster_config(args, cfg: dict) -> ClusterConfig:
-    section = cfg.get("cluster", {})
-    ra = args.ra if args.ra is not None else section.get("ra", 0.5)
-    rb = args.rb if args.rb is not None else section.get("rb")
-    return ClusterConfig(
-        ra=ra,
-        rb=rb,
-        eps_accept=section.get("eps_accept", 0.5),
-        eps_reject=section.get("eps_reject", 0.15),
-    )
+    section = _section(args, cfg, "cluster", {
+        f.name: f.default for f in dataclasses.fields(ClusterConfig)})
+    flags = {k: getattr(args, k) for k in ("ra", "rb") if getattr(args, k) is not None}
+    return ClusterConfig(**{**section, **flags})
 
 
-def _effective_feature_params(cfg: dict) -> FeatureParams:
-    section = dict(cfg.get("features", {}))
-    known = set(FeatureParams.__dataclass_fields__)
-    unknown = set(section) - known
-    if unknown:
-        raise ConfigError(f"unknown feature parameter(s): {sorted(unknown)}")
-    if "lle_fit_range" in section and section["lle_fit_range"] is not None:
+def _effective_feature_params(args, cfg: dict) -> FeatureParams:
+    section = dict(_section(args, cfg, "features", {
+        f.name: f.default for f in dataclasses.fields(FeatureParams)}))
+    if section.get("lle_fit_range") is not None:
         section["lle_fit_range"] = tuple(section["lle_fit_range"])
     return FeatureParams(**section)
 
 
 def _sg_settings(args, cfg: dict) -> tuple[int, int]:
-    section = cfg.get("filter", {})
-    order = section.get("sg_order", 2)
-    frame = args.sg_frame if getattr(args, "sg_frame", None) is not None \
-        else section.get("sg_frame", 61)
-    return order, frame
+    settings = {"sg_order": 2, "sg_frame": 61}
+    settings.update(_section(args, cfg, "filter", settings))
+    if args.sg_frame is not None:
+        settings["sg_frame"] = args.sg_frame
+    return settings["sg_order"], settings["sg_frame"]
 
 
-def _provenance(datasets, cluster_config: ClusterConfig, extra: dict | None = None) -> dict:
-    config = {
-        "cluster": {
-            "ra": cluster_config.ra,
-            "rb": cluster_config.rb,
-            "eps_accept": cluster_config.eps_accept,
-            "eps_reject": cluster_config.eps_reject,
-        },
-    }
-    if extra:
-        config.update(extra)
+def _provenance(datasets, cluster_config: ClusterConfig, variant: str) -> dict:
+    config = {"cluster": dataclasses.asdict(cluster_config), "variant": variant}
     digest = hashlib.sha256(
         json.dumps(config, sort_keys=True).encode()).hexdigest()[:12]
     return {"datasets": [str(d) for d in datasets],
@@ -102,12 +111,10 @@ def _provenance(datasets, cluster_config: ClusterConfig, extra: dict | None = No
 
 def _read_tables(paths):
     tables = {}
-    names = None
     for path in paths:
         table = read_feature_csv(path)
-        if names is None:
-            names = table.feature_names
-        elif table.feature_names != names:
+        names = next(iter(tables.values()), table).feature_names
+        if table.feature_names != names:
             raise ConfigError(
                 f"{path}: feature set {table.feature_names} does not match "
                 f"{names} from the first file")
@@ -118,11 +125,34 @@ def _read_tables(paths):
     return tables
 
 
+def _check_feature_set(model, names, where) -> None:
+    if names != model.feature_set:
+        raise ConfigError(f"{where}: feature set {names} does not match the "
+                          f"model's {model.feature_set}")
+
+
+def _training_clusters(args, cfg: dict):
+    """Pooled training table, effective cluster config and its clusters."""
+    pooled = concat_tables(_read_tables(args.train).values())
+    if pooled.rho is None:
+        raise ConfigError("training files must carry the rho column")
+    cluster_config = _effective_cluster_config(args, cfg)
+    return pooled, cluster_config, subtractive_cluster(pooled, cluster_config)
+
+
+def _table_vectors(table, names) -> list[FeatureVector]:
+    """The ``names`` columns of every table row, as FeatureVectors."""
+    columns = [table.feature_names.index(n) for n in names]
+    return [FeatureVector(table.features[k, columns], float(table.taus[k]),
+                          None if table.rho is None else float(table.rho[k]))
+            for k in range(table.n_rows)]
+
+
 def cmd_features(args) -> int:
     start = time.perf_counter()
     names = normalize_feature_names(args.features.split(","))
     cfg = _load_config(args.config)
-    params = _effective_feature_params(cfg)
+    params = _effective_feature_params(args, cfg)
     if args.format == "csv":
         # column subsetting of an existing feature CSV
         table = read_feature_csv(args.input)
@@ -131,12 +161,7 @@ def cmd_features(args) -> int:
             raise ConfigError(
                 f"{args.input}: feature(s) {missing} not present in "
                 f"{table.feature_names}")
-        columns = [table.feature_names.index(n) for n in names]
-        vectors = [
-            FeatureVector(table.features[k, columns], float(table.taus[k]),
-                          None if table.rho is None else float(table.rho[k]))
-            for k in range(table.n_rows)
-        ]
+        vectors = _table_vectors(table, names)
     else:
         if args.format == "phm":
             windows = iter_phm(args.input)
@@ -152,26 +177,16 @@ def cmd_features(args) -> int:
 
 def cmd_train(args) -> int:
     start = time.perf_counter()
-    cfg = _load_config(args.config)
-    tables = _read_tables(args.train)
-    pooled = concat_tables(tables.values())
-    if pooled.rho is None:
-        raise ConfigError("training files must carry the rho column")
-    cluster_config = _effective_cluster_config(args, cfg)
-    clusters = subtractive_cluster(pooled, cluster_config)
+    pooled, cluster_config, clusters = _training_clusters(args, _load_config(args.config))
     if args.dump_clusters:
         with open(args.dump_clusters, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([f"c_{name}" for name in pooled.feature_names]
                             + ["c_star"])
-            for center in clusters.centers:
-                writer.writerow([repr(float(v)) for v in center])
-    provenance = _provenance(args.train, cluster_config,
-                             {"variant": args.variant})
-    if args.variant == "weighted":
-        model = identify_weighted(pooled, clusters, provenance)
-    else:
-        model = identify_baseline(pooled, clusters, provenance)
+            writer.writerows([repr(float(v)) for v in center]
+                             for center in clusters.centers)
+    model = IDENTIFY[args.variant](
+        pooled, clusters, _provenance(args.train, cluster_config, args.variant))
     save_model(model, args.out)
     print(f"rules: {model.n_rules}")
     if model.variant == "weighted":
@@ -186,33 +201,18 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     table = read_feature_csv(args.input)
-    if table.feature_names != model.feature_set:
-        raise ConfigError(
-            f"feature set {table.feature_names} does not match the model's "
-            f"{model.feature_set}")
-    taus = table.taus
-    if np.any(np.diff(taus) <= 0):
-        raise ValueError("input rows are not in increasing time order")
-    cfg = _load_config(args.config)
-    order, frame = _sg_settings(args, cfg)
-    raw = predict_table(model, table.features, taus)
-    clamped = np.clip(raw, 0.0, 1.0)
-    rul = np.array([rul_from_ratio(r, t) for r, t in zip(clamped, taus)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        smoothed = smooth_rul(rul, order, frame)
+    _check_feature_set(model, table.feature_names, args.input)
+    raw, clamped, rul, smoothed = rul_curves(
+        model, table.features, table.taus, *_sg_settings(args, _load_config(args.config)))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "tau", "rho_hat", "rho_hat_clamped",
                          "rul_hat", "rul_hat_smoothed"])
-        for k in range(taus.size):
-            writer.writerow([
-                str(k + 1), repr(float(taus[k])), repr(float(raw[k])),
-                repr(float(clamped[k])),
-                "" if not np.isfinite(rul[k]) else repr(float(rul[k])),
-                "" if not np.isfinite(smoothed[k]) else repr(float(smoothed[k])),
-            ])
-    _log(f"{taus.size} predictions -> {args.out}")
+        for k, tau in enumerate(table.taus):
+            writer.writerow([str(k + 1), repr(float(tau)), repr(float(raw[k])),
+                             repr(float(clamped[k])), _cell(rul[k]),
+                             _cell(smoothed[k])])
+    _log(f"{table.n_rows} predictions -> {args.out}")
     return 0
 
 
@@ -220,14 +220,10 @@ def cmd_evaluate(args) -> int:
     model = load_model(args.model)
     tables = _read_tables(args.test)
     for name, table in tables.items():
-        if table.feature_names != model.feature_set:
-            raise ConfigError(
-                f"{name}: feature set does not match the model's "
-                f"{model.feature_set}")
+        _check_feature_set(model, table.feature_names, name)
         if table.rho is None:
             raise ConfigError(f"{name}: evaluation needs the rho column")
-    cfg = _load_config(args.config)
-    order, frame = _sg_settings(args, cfg)
+    order, frame = _sg_settings(args, _load_config(args.config))
     report = evaluate_model(model, tables, sg_order=order, sg_frame=frame)
     write_curves_csv(report, f"{args.out}_curves.csv")
     write_summary_csv([report], f"{args.out}_summary.csv")
@@ -239,22 +235,17 @@ def cmd_evaluate(args) -> int:
 
 def cmd_benchmark(args) -> int:
     cfg = _load_config(args.config)
-    train_tables = _read_tables(args.train)
-    test_tables = _read_tables(args.test)
-    pooled = concat_tables(train_tables.values())
-    if pooled.rho is None:
-        raise ConfigError("training files must carry the rho column")
-    cluster_config = _effective_cluster_config(args, cfg)
     order, frame = _sg_settings(args, cfg)
-    clusters = subtractive_cluster(pooled, cluster_config)
+    test_tables = _read_tables(args.test)
+    pooled, cluster_config, clusters = _training_clusters(args, cfg)
     reports = []
-    for variant, identify in (("baseline", identify_baseline),
-                              ("weighted", identify_weighted)):
+    for variant, identify in IDENTIFY.items():
         start = time.perf_counter()
         model = identify(pooled, clusters,
-                         _provenance(args.train, cluster_config,
-                                     {"variant": variant}))
+                         _provenance(args.train, cluster_config, variant))
         elapsed = time.perf_counter() - start
+        for name, table in test_tables.items():
+            _check_feature_set(model, table.feature_names, name)
         report = evaluate_model(model, test_tables, method=variant,
                                 sg_order=order, sg_frame=frame)
         reports.append(report)
@@ -268,11 +259,8 @@ def cmd_synth(args) -> int:
     table = synth_bearing(args.seed, args.regimes, args.lifetime,
                           args.noise, args.n_obs, args.n_features,
                           args.start_frac)
-    vectors = [
-        FeatureVector(table.features[k], float(table.taus[k]), float(table.rho[k]))
-        for k in range(table.n_rows)
-    ]
-    write_feature_csv(args.out, vectors, table.feature_names)
+    write_feature_csv(args.out, _table_vectors(table, table.feature_names),
+                      table.feature_names)
     _log(f"{table.n_rows} synthetic observations -> {args.out}")
     return 0
 
@@ -301,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="identify a model from feature CSVs")
     train.add_argument("--train", nargs="+", required=True,
                        help="labeled feature CSVs (one per training bearing)")
-    train.add_argument("--variant", choices=["baseline", "weighted"],
+    train.add_argument("--variant", choices=list(IDENTIFY),
                        default="weighted")
     train.add_argument("--ra", type=float, default=None)
     train.add_argument("--rb", type=float, default=None)

@@ -51,6 +51,36 @@ def _parse_float(token: str, path: Path, lineno: int) -> float:
     return value
 
 
+def _read_windows(paths, timestamps, n_rows: int, sample_rate: float,
+                  token) -> Iterator[SignalWindow]:
+    """One window of ``n_rows`` samples per file; blank lines are skipped and
+    ``token(line, path, lineno)`` picks the sample cell of every other line,
+    raising LoadError when the line is malformed."""
+    for order, (path, timestamp) in enumerate(zip(paths, timestamps)):
+        samples = np.empty(n_rows)
+        count = 0
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                cell = token(line, path, lineno)
+                if count >= n_rows:
+                    raise LoadError(f"{path}:{lineno}: more than {n_rows} rows")
+                samples[count] = _parse_float(cell, path, lineno)
+                count += 1
+        if count != n_rows:
+            raise LoadError(f"{path}: expected {n_rows} rows, got {count}")
+        yield SignalWindow(samples, sample_rate, index=order + 1, timestamp=timestamp)
+
+
+def _phm_cell(line: str, path: Path, lineno: int) -> str:
+    line = line.strip()
+    cells = line.split(";") if ";" in line else line.split(",")
+    if len(cells) not in (5, 6):
+        raise LoadError(f"{path}:{lineno}: expected 5 or 6 columns, got {len(cells)}")
+    return cells[4]
+
+
 def iter_phm(dir_path) -> Iterator[SignalWindow]:
     """Stream the horizontal-channel windows of one PHM bearing directory.
 
@@ -70,30 +100,9 @@ def iter_phm(dir_path) -> Iterator[SignalWindow]:
     indices = [idx for idx, _ in names]
     if any(b <= a for a, b in zip(indices, indices[1:])):
         raise LoadError(f"{root}: file indices are not strictly increasing")
-
-    for order, (_, name) in enumerate(names):
-        path = root / name
-        samples = np.empty(PHM_WINDOW_LEN)
-        count = 0
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                cells = line.split(";") if ";" in line else line.split(",")
-                if len(cells) not in (5, 6):
-                    raise LoadError(
-                        f"{path}:{lineno}: expected 5 or 6 columns, got {len(cells)}")
-                if count >= PHM_WINDOW_LEN:
-                    raise LoadError(
-                        f"{path}:{lineno}: more than {PHM_WINDOW_LEN} rows")
-                samples[count] = _parse_float(cells[4], path, lineno)
-                count += 1
-        if count != PHM_WINDOW_LEN:
-            raise LoadError(
-                f"{path}: expected {PHM_WINDOW_LEN} rows, got {count}")
-        yield SignalWindow(samples, PHM_SAMPLE_RATE, index=order + 1,
-                           timestamp=PHM_INTERVAL * order)
+    yield from _read_windows([root / name for _, name in names],
+                             [PHM_INTERVAL * k for k in range(len(names))],
+                             PHM_WINDOW_LEN, PHM_SAMPLE_RATE, _phm_cell)
 
 
 def load_phm(dir_path) -> Recording:
@@ -129,30 +138,16 @@ def iter_ims(dir_path, channel: int = 0) -> Iterator[SignalWindow]:
     if any(b <= a for a, b in zip(stamps, stamps[1:])):
         raise LoadError(f"{root}: file timestamps are not strictly increasing")
 
-    start = stamps[0]
-    for order, (name, stamp) in enumerate(zip(names, stamps)):
-        path = root / name
-        samples = np.empty(IMS_WINDOW_LEN)
-        count = 0
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                cells = line.split("\t")
-                if channel >= len(cells):
-                    raise LoadError(
-                        f"{path}:{lineno}: channel {channel} out of range "
-                        f"({len(cells)} columns)")
-                if count >= IMS_WINDOW_LEN:
-                    raise LoadError(
-                        f"{path}:{lineno}: more than {IMS_WINDOW_LEN} rows")
-                samples[count] = _parse_float(cells[channel], path, lineno)
-                count += 1
-        if count != IMS_WINDOW_LEN:
-            raise LoadError(f"{path}: expected {IMS_WINDOW_LEN} rows, got {count}")
-        yield SignalWindow(samples, IMS_SAMPLE_RATE, index=order + 1,
-                           timestamp=(stamp - start).total_seconds())
+    def cell(line: str, path: Path, lineno: int) -> str:
+        cells = line.rstrip("\n").split("\t")
+        if channel >= len(cells):
+            raise LoadError(
+                f"{path}:{lineno}: channel {channel} out of range ({len(cells)} columns)")
+        return cells[channel]
+
+    yield from _read_windows([root / name for name in names],
+                             [(stamp - stamps[0]).total_seconds() for stamp in stamps],
+                             IMS_WINDOW_LEN, IMS_SAMPLE_RATE, cell)
 
 
 def load_ims(dir_path, channel: int = 0) -> Recording:

@@ -518,15 +518,15 @@ def write_feature_csv(path, vectors: Sequence[FeatureVector],
             writer.writerow(row)
 
 
-def _csv_float(text: str, path, lineno: int, name: str, finite: bool = True) -> float:
+def _csv_float(text: str, path, lineno: int, name: str) -> float:
     """One CSV cell as a float; ConfigError naming the cell when it is not a
-    number (or, with ``finite``, not a finite one)."""
+    finite number."""
     try:
         value = float(text)
     except ValueError:
         raise ConfigError(
             f"{path}:{lineno}: column {name!r}: not a number: {text!r}") from None
-    if finite and not math.isfinite(value):
+    if not math.isfinite(value):
         raise ConfigError(f"{path}:{lineno}: column {name!r}: non-finite value {text!r}")
     return value
 
@@ -551,14 +551,20 @@ def read_feature_csv(path):
                      for text, name in zip(row[1:-1], header[1:-1])]
             taus.append(cells[0])
             values.append(cells[1:])
-            rhos.append(_csv_float(row[-1], path, lineno, "rho", finite=False)
-                        if row[-1] != "" else math.nan)
+            labeled = row[-1] != ""  # an empty rho column means unlabeled rows
+            if len(taus) > 1 and labeled != bool(rhos):
+                raise ConfigError(f"{path}:{lineno}: column 'rho': empty and "
+                                  "filled cells mixed")
+            if labeled:
+                rhos.append(_csv_float(row[-1], path, lineno, "rho"))
+                if not 0.0 <= rhos[-1] <= 1.0:
+                    raise ConfigError(f"{path}:{lineno}: column 'rho': {row[-1]!r} "
+                                      "is outside [0, 1]")
     if not taus:
         raise ConfigError(f"{path}: no data rows")
-    rho = np.array(rhos)
     return TrainingTable(
         features=np.array(values),
-        rho=None if np.isnan(rho).all() else rho,
+        rho=np.array(rhos) if rhos else None,
         taus=np.array(taus),
         feature_names=names,
     )

@@ -176,10 +176,12 @@ def solve_consequents(design, targets) -> np.ndarray:
     return beta
 
 
-def _identified(table: TrainingTable, clusters: ClusterSet, beta: np.ndarray,
+def _identified(table: TrainingTable, clusters: ClusterSet, degrees: np.ndarray,
                 time_params: TimeClusterParams | None,
                 provenance: dict | None) -> TSFISModel:
-    """Model from the rule-major solution [a_1, b_1, ..., a_J, b_J]."""
+    """Fit the consequents against the K x J rule degrees; the rule-major
+    solution [a_1, b_1, ..., a_J, b_J] splits into slopes and offsets."""
+    beta = solve_consequents(build_design_matrix(table.features, degrees), table.rho)
     blocks = beta.reshape(clusters.n_rules, -1)
     return TSFISModel(
         centers=clusters.input_centers.copy(),
@@ -199,10 +201,7 @@ def identify_baseline(table: TrainingTable, clusters: ClusterSet,
     if table.rho is None:
         raise ValueError("identification requires labeled rows (rho present)")
     w = firing_matrix(table.features, clusters.input_centers, clusters.sigmas)
-    wbar = normalize_rows(w)
-    design = build_design_matrix(table.features, wbar)
-    beta = solve_consequents(design, table.rho)
-    return _identified(table, clusters, beta, None, provenance)
+    return _identified(table, clusters, normalize_rows(w), None, provenance)
 
 
 def identify_weighted(table: TrainingTable, clusters: ClusterSet,
@@ -219,14 +218,11 @@ def identify_weighted(table: TrainingTable, clusters: ClusterSet,
     if table.taus is None:
         raise ValueError("weighted identification requires observation times")
     w = firing_matrix(table.features, clusters.input_centers, clusters.sigmas)
-    wbar = normalize_rows(w)
-    time_params = estimate_time_clusters(table.taus, wbar)
+    time_params = estimate_time_clusters(table.taus, normalize_rows(w))
     wtil = weighted_firing_matrix(table.features, table.taus,
                                   clusters.input_centers, clusters.sigmas,
                                   time_params)
-    design = build_design_matrix(table.features, wtil)
-    beta = solve_consequents(design, table.rho)
-    return _identified(table, clusters, beta, time_params, provenance)
+    return _identified(table, clusters, wtil, time_params, provenance)
 
 
 def save_model(model: TSFISModel, path) -> None:

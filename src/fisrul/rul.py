@@ -138,13 +138,27 @@ class EvaluationReport:
         return arrmse([b.rrmse for b in self.bearings])
 
 
+def rul_curves(model: TSFISModel, features, taus, sg_order: int = 2,
+               sg_frame: int = 61):
+    """``(raw, clamped, rul_hat, smoothed)`` for one bearing's rows: the model
+    output, its [0, 1] clamp, the clamp's floored RUL conversion and that
+    curve smoothed.  Rows out of time order are rejected."""
+    taus = np.asarray(taus, dtype=float)
+    if np.any(np.diff(taus) <= 0):
+        raise ValueError("input rows are not in increasing time order")
+    raw = predict_table(model, features, taus)
+    clamped = np.clip(raw, 0.0, 1.0)
+    rul_hat = np.array([rul_from_ratio(r, t) for r, t in zip(clamped, taus)])
+    return raw, clamped, rul_hat, smooth_rul(rul_hat, sg_order, sg_frame)
+
+
 def evaluate_model(model: TSFISModel, tables, method: str | None = None,
                    sg_order: int = 2, sg_frame: int = 61) -> EvaluationReport:
     """Run the model over labeled tables and collect error metrics and curves.
 
     ``tables`` maps bearing ids to labeled TrainingTable objects (any mapping
     or iterable of (id, table) pairs).  The error metric uses the raw model
-    output; the RUL curves use the clamped-and-floored conversion.
+    output; the RUL curves are those of rul_curves.
     """
     items = tables.items() if hasattr(tables, "items") else tables
     evaluations = []
@@ -153,24 +167,24 @@ def evaluate_model(model: TSFISModel, tables, method: str | None = None,
             raise ValueError(f"bearing {bearing_id}: evaluation needs labeled rows")
         if table.taus is None:
             raise ValueError(f"bearing {bearing_id}: evaluation needs observation times")
-        raw = predict_table(model, table.features, table.taus)
-        clamped = np.clip(raw, 0.0, 1.0)
+        try:
+            raw, clamped, rul_hat, smoothed = rul_curves(
+                model, table.features, table.taus, sg_order, sg_frame)
+        except ValueError as exc:  # keeps ConfigError a ConfigError
+            raise type(exc)(f"bearing {bearing_id}: {exc}") from None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             error = rrmse(table.rho, raw)
-        rul_true = np.array([
-            rul_from_ratio(r, t) for r, t in zip(table.rho, table.taus)])
-        rul_hat = np.array([
-            rul_from_ratio(r, t) for r, t in zip(clamped, table.taus)])
         evaluations.append(BearingEvaluation(
             bearing_id=str(bearing_id),
             taus=np.asarray(table.taus, dtype=float),
             rho_true=np.asarray(table.rho, dtype=float),
             rho_hat_raw=raw,
             rho_hat=clamped,
-            rul_true=rul_true,
+            rul_true=np.array([
+                rul_from_ratio(r, t) for r, t in zip(table.rho, table.taus)]),
             rul_hat=rul_hat,
-            rul_hat_smoothed=smooth_rul(rul_hat, sg_order, sg_frame),
+            rul_hat_smoothed=smoothed,
             rrmse=error,
         ))
     if not evaluations:

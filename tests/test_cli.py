@@ -385,3 +385,114 @@ class TestPackaging:
                      "--out", str(report)]) == 0
         summary = (tmp_path / "rep_summary.csv").read_text().splitlines()
         assert len(summary) == 4  # header + two distinct bearings + ARRMSE
+
+
+def reversed_copy(src, dest):
+    """``src`` with its data rows in reverse time order."""
+    lines = src.read_text().strip().splitlines()
+    dest.write_text("\n".join([lines[0]] + lines[1:][::-1]) + "\n")
+    return dest
+
+
+class TestOneCurvePath:
+    """evaluate and benchmark check what predict checks."""
+
+    def test_evaluate_rejects_out_of_order_rows(self, synth_csvs, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert main(["train", "--train", str(synth_csvs["train_a"]),
+                     "--out", str(model)]) == 0
+        scrambled = reversed_copy(synth_csvs["test_a"], tmp_path / "scrambled.csv")
+        capsys.readouterr()
+        code = main(["evaluate", "--model", str(model), "--test",
+                     str(synth_csvs["test_b"]), str(scrambled),
+                     "--out", str(tmp_path / "rep")])
+        assert code == 1
+        assert "error: bearing scrambled: input rows are not in increasing time " \
+               "order" in capsys.readouterr().err
+        assert not (tmp_path / "rep_summary.csv").exists()
+
+    def test_benchmark_rejects_out_of_order_rows(self, synth_csvs, tmp_path, capsys):
+        scrambled = reversed_copy(synth_csvs["test_a"], tmp_path / "scrambled.csv")
+        out = tmp_path / "bench.csv"
+        code = main(["benchmark", "--train", str(synth_csvs["train_a"]),
+                     str(synth_csvs["train_b"]), "--test", str(scrambled),
+                     "--out", str(out)])
+        assert code == 1
+        assert "error: bearing scrambled: input rows are not in increasing time " \
+               "order" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_benchmark_rejects_renamed_feature_columns(self, synth_csvs, tmp_path,
+                                                       capsys):
+        lines = synth_csvs["test_a"].read_text().splitlines()
+        renamed = tmp_path / "renamed.csv"
+        renamed.write_text("\n".join(["k,tau,rms,se,rho"] + lines[1:]) + "\n")
+        out = tmp_path / "bench.csv"
+        code = main(["benchmark", "--train", str(synth_csvs["train_a"]),
+                     str(synth_csvs["train_b"]), "--test", str(renamed),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: renamed: feature set ('rms', 'se') does not match the " \
+               "model's ('f1', 'f2')" in err
+        assert not out.exists()
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("text, message", [
+        ("[1]", "expected a JSON object"),
+        ('{"cluster": 5}', "section 'cluster' is not an object"),
+        ('{"filter": [61]}', "section 'filter' is not an object"),
+        ('{"cluster": {"ra": "big"}}', "cluster.ra: not a number: 'big'"),
+        ('{"cluster": {"ra": true}}', "cluster.ra: not a number: True"),
+        ('{"filter": {"sg_frame": 31.5}}', "filter.sg_frame: not a number: 31.5"),
+        ('{"cluster": {"radius": 0.4}}', "cluster: unknown key 'radius'"),
+        ('{"filter": {"frame": 31}}', "filter: unknown key 'frame'"),
+        ('{"cluster": {"ra": 0.4,}}', "not a JSON document"),
+    ], ids=["not-an-object", "cluster-not-an-object", "filter-not-an-object",
+            "non-numeric", "boolean", "non-integer-frame", "unknown-cluster-key",
+            "unknown-filter-key", "invalid-json"])
+    def test_benchmark_names_file_and_key(self, text, message, synth_csvs,
+                                          tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code = main(["benchmark", "--train", str(synth_csvs["train_a"]),
+                     "--test", str(synth_csvs["test_a"]), "--config", str(cfg),
+                     "--out", str(tmp_path / "bench.csv")])
+        assert code == 2
+        assert f"error: {cfg}: {message}" in capsys.readouterr().err
+
+    def test_features_section_non_numeric_value(self, tmp_path, capsys):
+        root, _ = make_phm_dir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"features": {"ae_m": "two"}}')
+        code = main(["features", "--input", str(root), "--format", "phm",
+                     "--features", "ae", "--config", str(cfg),
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert f"error: {cfg}: features.ae_m: not a number: 'two'" \
+            in capsys.readouterr().err
+
+    def test_short_fit_range_rejected(self, tmp_path, capsys):
+        root, _ = make_phm_dir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"features": {"lle_fit_range": [1]}}')
+        code = main(["features", "--input", str(root), "--format", "phm",
+                     "--features", "lle", "--config", str(cfg),
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert f"error: {cfg}: features.lle_fit_range: not a number: [1]" \
+            in capsys.readouterr().err
+
+    def test_null_radius_accepted(self, synth_csvs, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"cluster": {"rb": null, "ra": 1}}')
+        assert main(["train", "--train", str(synth_csvs["train_a"]), "--config",
+                     str(cfg), "--out", str(tmp_path / "m.json")]) == 0
+
+    def test_null_lag_and_fit_range_accepted(self, tmp_path):
+        root, _ = make_phm_dir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"features": {"lle_lag": null, "lle_fit_range": [1, 8]}}')
+        assert main(["features", "--input", str(root), "--format", "phm",
+                     "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0

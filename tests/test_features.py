@@ -371,3 +371,30 @@ class TestReadFeatureCsv:
                                                        "2,20.0,0.6,0.3,"]))
         assert table.rho is None
         np.testing.assert_array_equal(table.features, [[0.5, 0.2], [0.6, 0.3]])
+
+
+class TestRhoColumn:
+    """A rho column is all empty (unlabeled) or all finite numbers in [0, 1]."""
+
+    write = TestReadFeatureCsv.write
+
+    @pytest.mark.parametrize("rhos, line, message", [
+        (["0.1", "nan", "0.3"], 3, "non-finite"),
+        (["0.1", "0.2", "1.5"], 4, "'1.5' is outside"),
+        (["-0.2", "0.2", "0.3"], 2, "'-0.2' is outside"),
+        (["0.1", "", "0.3"], 3, "empty and filled cells mixed"),
+        (["", "", "0.3"], 4, "empty and filled cells mixed"),
+        (["nan", "nan", "nan"], 2, "non-finite"),
+    ], ids=["partial-nan", "above-one", "negative", "filled-then-empty",
+            "empty-then-filled", "all-nan"])
+    def test_bad_rho_located(self, tmp_path, rhos, line, message):
+        rows = [f"{k},{10.0 * k},0.5,0.2,{rho}" for k, rho in enumerate(rhos, start=1)]
+        path = self.write(tmp_path, rows)
+        with pytest.raises(ConfigError, match=rf"{re.escape(str(path))}:{line}: "
+                                              rf"column 'rho': .*{message}"):
+            read_feature_csv(path)
+
+    def test_bounds_are_labels(self, tmp_path):
+        table = read_feature_csv(self.write(tmp_path, ["1,10.0,0.5,0.2,0",
+                                                       "2,20.0,0.6,0.3,1.0"]))
+        np.testing.assert_array_equal(table.rho, [0.0, 1.0])

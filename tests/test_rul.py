@@ -21,6 +21,7 @@ from fisrul.rul import (
     write_curves_csv,
     write_summary_csv,
 )
+from fisrul.rul import rul_curves
 
 
 class TestPulRatio:
@@ -212,3 +213,36 @@ class TestEvaluateModel:
         assert summary_lines[0] == "method,bearing,rrmse"
         assert len(summary_lines) == 4  # two bearings + ARRMSE row
         assert summary_lines[-1].startswith("baseline,ARRMSE,")
+
+
+class TestRulCurves:
+    model_and_table = TestEvaluateModel.perfect_model_and_table
+
+    def test_curves_are_the_clamped_conversion_smoothed(self):
+        model, table = self.model_and_table()
+        raw, clamped, rul_hat, smoothed = rul_curves(
+            model, table.features, table.taus, 2, 11)
+        np.testing.assert_array_equal(clamped, np.clip(raw, 0.0, 1.0))
+        np.testing.assert_array_equal(
+            rul_hat, [rul_from_ratio(r, t) for r, t in zip(clamped, table.taus)])
+        np.testing.assert_array_equal(smoothed, smooth_rul(rul_hat, 2, 11))
+
+    def test_evaluate_model_uses_the_same_curves(self):
+        model, table = self.model_and_table()
+        bearing = evaluate_model(model, {"b1": table}, sg_frame=11).bearings[0]
+        curves = rul_curves(model, table.features, table.taus, sg_frame=11)
+        for got, want in zip((bearing.rho_hat_raw, bearing.rho_hat, bearing.rul_hat,
+                              bearing.rul_hat_smoothed), curves):
+            np.testing.assert_array_equal(got, want)
+
+    def test_out_of_order_rows_name_the_bearing(self):
+        model, table = self.model_and_table()
+        reversed_table = TrainingTable(table.features[::-1], rho=table.rho[::-1],
+                                       taus=table.taus[::-1])
+        with pytest.raises(ValueError, match="bearing b7: .*increasing time order"):
+            evaluate_model(model, {"b1": table, "b7": reversed_table})
+
+    def test_bad_filter_frame_stays_a_config_error(self):
+        model, table = self.model_and_table()
+        with pytest.raises(ConfigError, match="bearing b1: filter frame"):
+            evaluate_model(model, {"b1": table}, sg_frame=10)
