@@ -12,7 +12,6 @@ from .errors import ConfigError, LoadError
 from .features import (
     FEATURE_NAMES,
     FeatureParams,
-    FeatureVector,
     SignalWindow,
     approximate_entropy,
     correlation_dimension,
@@ -36,7 +35,7 @@ from .fis import (
     save_model,
 )
 from .mixture import TimeClusterParams, estimate_time_clusters
-from .datasets import Recording, load_ims, load_phm, synth_bearing
+from .datasets import iter_ims, iter_phm, synth_bearing
 from .rul import (
     EvaluationReport,
     arrmse,
@@ -53,7 +52,7 @@ __all__ = [
     "ClusterConfig", "ClusterSet", "TrainingTable", "concat_tables",
     "input_sigmas", "subtractive_cluster",
     "ConfigError", "LoadError",
-    "FEATURE_NAMES", "FeatureParams", "FeatureVector", "SignalWindow",
+    "FEATURE_NAMES", "FeatureParams", "SignalWindow",
     "approximate_entropy", "correlation_dimension", "degradation_index",
     "extract_features", "largest_lyapunov", "read_feature_csv", "rms",
     "spectral_entropy", "write_feature_csv",
@@ -61,7 +60,7 @@ __all__ = [
     "identify_baseline", "identify_weighted", "infer", "load_model",
     "predict_table", "save_model",
     "TimeClusterParams", "estimate_time_clusters",
-    "Recording", "load_ims", "load_phm", "synth_bearing",
+    "iter_ims", "iter_phm", "synth_bearing",
     "EvaluationReport", "arrmse", "evaluate_model", "pul_ratio", "rrmse",
     "rul_from_ratio", "savitzky_golay",
     "__version__",

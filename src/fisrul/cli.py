@@ -19,12 +19,11 @@ import sys
 import time
 from pathlib import Path
 
-from .clustering import ClusterConfig, concat_tables, subtractive_cluster
+from .clustering import ClusterConfig, TrainingTable, concat_tables, subtractive_cluster
 from .datasets import iter_ims, iter_phm, synth_bearing
 from .errors import ConfigError, LoadError
 from .features import (
     FeatureParams,
-    FeatureVector,
     extract_features,
     normalize_feature_names,
     read_feature_csv,
@@ -82,7 +81,11 @@ def _effective_cluster_config(args, cfg: dict) -> ClusterConfig:
     section = _section(args, cfg, "cluster", {
         f.name: f.default for f in dataclasses.fields(ClusterConfig)})
     flags = {k: getattr(args, k) for k in ("ra", "rb") if getattr(args, k) is not None}
-    return ClusterConfig(**{**section, **flags})
+    try:
+        return ClusterConfig(**{**section, **flags})
+    except ValueError as exc:
+        ClusterConfig(**flags)  # a bad --ra/--rb flag raises its own error
+        raise ConfigError(f"{args.config}: cluster: {exc}") from None
 
 
 def _effective_feature_params(args, cfg: dict) -> FeatureParams:
@@ -109,7 +112,9 @@ def _provenance(datasets, cluster_config: ClusterConfig, variant: str) -> dict:
             "config": config, "config_hash": digest}
 
 
-def _read_tables(paths):
+def _read_tables(paths, labeled: bool = False):
+    """Feature tables keyed by file stem; ``labeled`` (evaluation input)
+    requires the rho column in every file."""
     tables = {}
     for path in paths:
         table = read_feature_csv(path)
@@ -121,6 +126,8 @@ def _read_tables(paths):
         key = Path(path).stem
         if key in tables:  # same stem from different directories
             key = str(path)
+        if labeled and table.rho is None:
+            raise ConfigError(f"{key}: evaluation needs the rho column")
         tables[key] = table
     return tables
 
@@ -140,14 +147,6 @@ def _training_clusters(args, cfg: dict):
     return pooled, cluster_config, subtractive_cluster(pooled, cluster_config)
 
 
-def _table_vectors(table, names) -> list[FeatureVector]:
-    """The ``names`` columns of every table row, as FeatureVectors."""
-    columns = [table.feature_names.index(n) for n in names]
-    return [FeatureVector(table.features[k, columns], float(table.taus[k]),
-                          None if table.rho is None else float(table.rho[k]))
-            for k in range(table.n_rows)]
-
-
 def cmd_features(args) -> int:
     start = time.perf_counter()
     names = normalize_feature_names(args.features.split(","))
@@ -161,16 +160,17 @@ def cmd_features(args) -> int:
             raise ConfigError(
                 f"{args.input}: feature(s) {missing} not present in "
                 f"{table.feature_names}")
-        vectors = _table_vectors(table, names)
+        columns = [table.feature_names.index(n) for n in names]
+        table = TrainingTable(table.features[:, columns], table.rho, table.taus, names)
     else:
         if args.format == "phm":
             windows = iter_phm(args.input)
         else:
             windows = iter_ims(args.input, args.channel)
-        vectors = extract_features(windows, names, params,
-                                   labeled=not args.unlabeled, n_jobs=args.jobs)
-    write_feature_csv(args.out, vectors, names)
-    _log(f"{len(vectors)} windows -> {args.out} "
+        table = extract_features(windows, names, params,
+                                 labeled=not args.unlabeled, n_jobs=args.jobs)
+    write_feature_csv(args.out, table)
+    _log(f"{table.n_rows} windows -> {args.out} "
          f"in {time.perf_counter() - start:.2f}s")
     return 0
 
@@ -218,11 +218,9 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    tables = _read_tables(args.test)
+    tables = _read_tables(args.test, labeled=True)
     for name, table in tables.items():
         _check_feature_set(model, table.feature_names, name)
-        if table.rho is None:
-            raise ConfigError(f"{name}: evaluation needs the rho column")
     order, frame = _sg_settings(args, _load_config(args.config))
     report = evaluate_model(model, tables, sg_order=order, sg_frame=frame)
     write_curves_csv(report, f"{args.out}_curves.csv")
@@ -236,7 +234,7 @@ def cmd_evaluate(args) -> int:
 def cmd_benchmark(args) -> int:
     cfg = _load_config(args.config)
     order, frame = _sg_settings(args, cfg)
-    test_tables = _read_tables(args.test)
+    test_tables = _read_tables(args.test, labeled=True)
     pooled, cluster_config, clusters = _training_clusters(args, cfg)
     reports = []
     for variant, identify in IDENTIFY.items():
@@ -259,8 +257,7 @@ def cmd_synth(args) -> int:
     table = synth_bearing(args.seed, args.regimes, args.lifetime,
                           args.noise, args.n_obs, args.n_features,
                           args.start_frac)
-    write_feature_csv(args.out, _table_vectors(table, table.feature_names),
-                      table.feature_names)
+    write_feature_csv(args.out, table)
     _log(f"{table.n_rows} synthetic observations -> {args.out}")
     return 0
 

@@ -1,16 +1,15 @@
 """Ingestion of the two public run-to-failure formats plus a synthetic generator.
 
 Loaders stream windows one file at a time so full recordings never need to
-sit in memory; `load_*` materializes them into a Recording for interactive
-use.  The synthetic generator emits a feature table directly (no signal
-level), which is the desk-scale stand-in for the multi-GB benchmarks.
+sit in memory; `list(iter_phm(path))` materializes one.  The synthetic
+generator emits a feature table directly (no signal level), which is the
+desk-scale stand-in for the multi-GB benchmarks.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 from typing import Iterator
@@ -29,16 +28,6 @@ IMS_SAMPLE_RATE = 20000.0
 IMS_WINDOW_LEN = 20480
 
 _PHM_NAME = re.compile(r"^acc_(\d+)\.csv$")
-
-
-@dataclass
-class Recording:
-    """One bearing's ordered windows; total_life is the last observation time."""
-
-    bearing_id: str
-    windows: list[SignalWindow]
-    sample_interval: float
-    total_life: float | None = None
 
 
 def _parse_float(token: str, path: Path, lineno: int) -> float:
@@ -105,17 +94,6 @@ def iter_phm(dir_path) -> Iterator[SignalWindow]:
                              PHM_WINDOW_LEN, PHM_SAMPLE_RATE, _phm_cell)
 
 
-def load_phm(dir_path) -> Recording:
-    """Materialize a PHM bearing directory into a Recording."""
-    windows = list(iter_phm(dir_path))
-    return Recording(
-        bearing_id=Path(dir_path).name,
-        windows=windows,
-        sample_interval=PHM_INTERVAL,
-        total_life=windows[-1].timestamp,
-    )
-
-
 def _ims_timestamp(name: str, root: Path) -> datetime:
     try:
         return datetime.strptime(name, "%Y.%m.%d.%H.%M.%S")
@@ -148,18 +126,6 @@ def iter_ims(dir_path, channel: int = 0) -> Iterator[SignalWindow]:
     yield from _read_windows([root / name for name in names],
                              [(stamp - stamps[0]).total_seconds() for stamp in stamps],
                              IMS_WINDOW_LEN, IMS_SAMPLE_RATE, cell)
-
-
-def load_ims(dir_path, channel: int = 0) -> Recording:
-    """Materialize one channel of an IMS test directory into a Recording."""
-    windows = list(iter_ims(dir_path, channel))
-    deltas = np.diff([w.timestamp for w in windows])
-    return Recording(
-        bearing_id=f"{Path(dir_path).name}-ch{channel}",
-        windows=windows,
-        sample_interval=float(np.median(deltas)) if deltas.size else 0.0,
-        total_life=windows[-1].timestamp,
-    )
 
 
 # Per-regime slope patterns of the synthetic feature trajectories (features

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist
 
+from .clustering import TrainingTable
 from .errors import ConfigError
 
 FEATURE_NAMES = ("rms", "se", "ae", "lle", "cd", "diae")
@@ -52,22 +53,6 @@ class SignalWindow:
             raise ValueError("signal window has no samples")
         if not self.sample_rate > 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """One observation row: feature values, its time coordinate and, for
-    labeled run-to-failure recordings, the past-useful-life ratio."""
-
-    values: np.ndarray
-    tau: float
-    rho: float | None = None
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if self.rho is not None and not 0.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
 
 
 @dataclass(frozen=True)
@@ -427,16 +412,15 @@ def _window_features(window: SignalWindow, base_names: tuple[str, ...],
 
 def extract_features(windows: Iterable[SignalWindow], feature_set: Iterable[str],
                      params: FeatureParams | None = None,
-                     labeled: bool = False, total_life: float | None = None,
-                     n_jobs: int = 1) -> list[FeatureVector]:
-    """Compute one ordered FeatureVector per window.
+                     labeled: bool = False, n_jobs: int = 1) -> TrainingTable:
+    """Compute one feature row per window, columns in ``feature_set`` order.
 
     Windows are consumed lazily in chunks, so recordings never have to be
     materialized; only the scalar feature values are retained.  With
-    ``labeled=True`` each vector gets rho = tau / total_life, where
-    ``total_life`` defaults to the last window timestamp (run-to-failure
-    convention).  ``n_jobs > 1`` processes the windows of each chunk in a
-    thread pool; results are independent of the execution order.
+    ``labeled=True`` each row gets rho = tau / total life, the total life
+    being the last window timestamp (run-to-failure convention).
+    ``n_jobs > 1`` processes the windows of each chunk in a thread pool;
+    results are independent of the execution order.
     """
     names = normalize_feature_names(feature_set)
     params = params or FeatureParams()
@@ -472,7 +456,7 @@ def extract_features(windows: Iterable[SignalWindow], feature_set: Iterable[str]
             pool.shutdown()
 
     if not rows:
-        return []
+        raise ValueError("no windows to extract features from")
 
     if "diae" in names:
         ae_series = np.array([row["ae"] for row in rows])
@@ -481,40 +465,36 @@ def extract_features(windows: Iterable[SignalWindow], feature_set: Iterable[str]
         for row, value in zip(rows, diae):
             row["diae"] = float(value)
 
-    rhos: list[float | None] = [None] * len(rows)
-    if labeled:
-        life = total_life if total_life is not None else taus[-1]
-        if not life > 0:
-            raise ValueError(f"total life must be positive, got {life}")
-        rhos = [tau / life for tau in taus]
-
-    return [
-        FeatureVector(np.array([row[n] for n in names]), tau, rho)
-        for row, tau, rho in zip(rows, taus, rhos)
-    ]
+    taus = np.array(taus)
+    if labeled and not taus[-1] > 0:
+        raise ValueError(f"total life must be positive, got {taus[-1]}")
+    return TrainingTable(
+        features=np.array([[row[n] for n in names] for row in rows]),
+        rho=taus / taus[-1] if labeled else None,
+        taus=taus,
+        feature_names=names,
+    )
 
 
-def write_feature_csv(path, vectors: Sequence[FeatureVector],
-                      feature_set: Iterable[str]) -> None:
-    """Persist vectors as `k,tau,<features...>,rho` (rho blank when absent).
+def write_feature_csv(path, table: TrainingTable) -> None:
+    """Persist a table as `k,tau,<features...>,rho` (rho blank when absent).
 
     Column names are free-form (synthetic tables use their own), so no
     validation against the computable feature set happens here.
     """
-    names = tuple(str(n) for n in feature_set)
-    if not names:
+    if not table.feature_names:
         raise ConfigError("feature set is empty")
+    if table.taus is None:
+        raise ValueError("feature CSV needs observation times; the table has no taus")
+    rhos = [None] * table.n_rows if table.rho is None else table.rho
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["k", "tau"] + list(names) + ["rho"])
-        for k, vec in enumerate(vectors, start=1):
-            if vec.values.size != len(names):
-                raise ValueError(
-                    f"vector length {vec.values.size} does not match "
-                    f"feature set size {len(names)}")
-            row = [str(k), repr(float(vec.tau))]
-            row += [repr(float(v)) for v in vec.values]
-            row.append("" if vec.rho is None else repr(float(vec.rho)))
+        writer.writerow(["k", "tau"] + list(table.feature_names) + ["rho"])
+        rows = zip(table.taus, table.features, rhos)
+        for k, (tau, values, rho) in enumerate(rows, start=1):
+            row = [str(k), repr(float(tau))]
+            row += [repr(float(v)) for v in values]
+            row.append("" if rho is None else repr(float(rho)))
             writer.writerow(row)
 
 
@@ -533,8 +513,6 @@ def _csv_float(text: str, path, lineno: int, name: str) -> float:
 
 def read_feature_csv(path):
     """Load a feature CSV back into a TrainingTable (rho None when unlabeled)."""
-    from .clustering import TrainingTable
-
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)

@@ -270,21 +270,14 @@ def _dataset_protocol(tables_train, tables_test):
                     reason="PHM_DATA_DIR not set (multi-GB dataset not bundled)")
 def test_c10a_phm_condition1_rms_ordering():
     """PHM condition 1, RMS input: weighted ARRMSE below baseline ARRMSE."""
-    from fisrul.datasets import load_phm
+    from fisrul.datasets import iter_phm
     from fisrul.features import extract_features
 
     root = os.environ["PHM_DATA_DIR"]
 
     def table(bearing):
-        recording = load_phm(os.path.join(root, bearing))
-        vectors = extract_features(recording.windows, ["rms"], labeled=True,
-                                   total_life=recording.total_life)
-        return TrainingTable(
-            features=np.array([v.values for v in vectors]),
-            rho=np.array([v.rho for v in vectors]),
-            taus=np.array([v.tau for v in vectors]),
-            feature_names=("rms",),
-        )
+        return extract_features(iter_phm(os.path.join(root, bearing)), ["rms"],
+                                labeled=True)
 
     train = {b: table(b) for b in ("Bearing1_1", "Bearing1_2")}
     test = {b: table(b) for b in ("Bearing1_3", "Bearing1_4", "Bearing1_5",
@@ -301,21 +294,14 @@ def test_c10a_phm_condition1_rms_ordering():
                     reason="IMS_DATA_DIR not set (multi-GB dataset not bundled)")
 def test_c10b_ims_rms_ordering():
     """IMS, RMS input: weighted RRMSE below baseline RRMSE."""
-    from fisrul.datasets import load_ims
+    from fisrul.datasets import iter_ims
     from fisrul.features import extract_features
 
     root = os.environ["IMS_DATA_DIR"]
 
     def table(subdir, channel):
-        recording = load_ims(os.path.join(root, subdir), channel)
-        vectors = extract_features(recording.windows, ["rms"], labeled=True,
-                                   total_life=recording.total_life)
-        return TrainingTable(
-            features=np.array([v.values for v in vectors]),
-            rho=np.array([v.rho for v in vectors]),
-            taus=np.array([v.tau for v in vectors]),
-            feature_names=("rms",),
-        )
+        return extract_features(iter_ims(os.path.join(root, subdir), channel),
+                                ["rms"], labeled=True)
 
     # test 1: 8 columns, two per bearing, bearing 4 first channel = column 6;
     # test 2: one column per bearing, bearing 1 = column 0

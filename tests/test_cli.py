@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from fisrul.cli import main
+from fisrul.datasets import iter_ims, iter_phm
+from fisrul.features import extract_features, read_feature_csv
 
 from test_datasets import make_ims_dir, make_phm_dir
 
@@ -105,6 +107,35 @@ class TestFeaturesCommand:
         code = main(["features", "--input", str(full), "--format", "csv",
                      "--features", "se", "--out", str(tmp_path / "s.csv")])
         assert code == 2
+
+
+class TestTablePath:
+    """The library path of the c10 acceptance tests equals the CLI's CSV."""
+
+    def assert_same_table(self, extracted, path):
+        table = read_feature_csv(path)
+        assert table.feature_names == extracted.feature_names
+        for column in ("features", "taus", "rho"):
+            np.testing.assert_array_equal(getattr(table, column),
+                                          getattr(extracted, column))
+
+    def test_phm(self, tmp_path):
+        root, _ = make_phm_dir(tmp_path)
+        out = tmp_path / "features.csv"
+        assert main(["features", "--input", str(root), "--format", "phm",
+                     "--features", "rms,se,ae", "--out", str(out)]) == 0
+        self.assert_same_table(
+            extract_features(iter_phm(root), ["rms", "se", "ae"], labeled=True), out)
+
+    def test_ims_channel_1(self, tmp_path):
+        root, _ = make_ims_dir(tmp_path, ["2003.10.22.12.06.24",
+                                          "2003.10.22.12.16.24",
+                                          "2003.10.22.12.26.24"])
+        out = tmp_path / "features.csv"
+        assert main(["features", "--input", str(root), "--format", "ims",
+                     "--channel", "1", "--features", "rms,se", "--out", str(out)]) == 0
+        self.assert_same_table(
+            extract_features(iter_ims(root, 1), ["rms", "se"], labeled=True), out)
 
 
 class TestTrainCommand:
@@ -394,6 +425,43 @@ def reversed_copy(src, dest):
     return dest
 
 
+def unlabeled_copy(src, dest):
+    """``src`` with every rho cell blanked."""
+    lines = src.read_text().strip().splitlines()
+    dest.write_text("\n".join([lines[0]] + [l.rsplit(",", 1)[0] + ","
+                                            for l in lines[1:]]) + "\n")
+    return dest
+
+
+class TestUnlabeledTestFile:
+    """evaluate and benchmark reject a test file without rho, naming it."""
+
+    def test_evaluate_exits_2(self, synth_csvs, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert main(["train", "--train", str(synth_csvs["train_a"]),
+                     "--out", str(model)]) == 0
+        unlabeled = unlabeled_copy(synth_csvs["test_a"], tmp_path / "u100.csv")
+        capsys.readouterr()
+        code = main(["evaluate", "--model", str(model), "--test", str(unlabeled),
+                     "--out", str(tmp_path / "rep")])
+        assert code == 2
+        assert "error: u100: evaluation needs the rho column" in capsys.readouterr().err
+        assert not (tmp_path / "rep_summary.csv").exists()
+
+    def test_benchmark_exits_2_before_training(self, synth_csvs, tmp_path, capsys):
+        unlabeled = unlabeled_copy(synth_csvs["test_a"], tmp_path / "u100.csv")
+        out = tmp_path / "bench.csv"
+        capsys.readouterr()
+        code = main(["benchmark", "--train", str(synth_csvs["train_a"]),
+                     "--test", str(synth_csvs["test_b"]), str(unlabeled),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: u100: evaluation needs the rho column" in err
+        assert "identified" not in err
+        assert not out.exists()
+
+
 class TestOneCurvePath:
     """evaluate and benchmark check what predict checks."""
 
@@ -496,3 +564,31 @@ class TestMalformedConfig:
         cfg.write_text('{"features": {"lle_lag": null, "lle_fit_range": [1, 8]}}')
         assert main(["features", "--input", str(root), "--format", "phm",
                      "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"cluster": {"ra": -1}}', "cluster: ra must be positive, got -1"),
+        ('{"cluster": {"eps_accept": 2}}', "cluster: thresholds must satisfy "
+                                          "0 < eps_reject < eps_accept <= 1"),
+    ], ids=["negative-radius", "threshold-above-one"])
+    def test_out_of_range_cluster_value_names_file(self, text, message,
+                                                   synth_csvs, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code = main(["train", "--train", str(synth_csvs["train_a"]), "--config",
+                     str(cfg), "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert f"error: {cfg}: {message}" in capsys.readouterr().err
+
+    def test_out_of_range_radius_flag_unchanged(self, synth_csvs, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"cluster": {"eps_accept": 0.6}}')
+        code = main(["train", "--train", str(synth_csvs["train_a"]), "--config",
+                     str(cfg), "--ra", "-1", "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert "error: ra must be positive, got -1.0" in capsys.readouterr().err
+
+    def test_flag_overrides_out_of_range_file_value(self, synth_csvs, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"cluster": {"ra": -1}}')
+        assert main(["train", "--train", str(synth_csvs["train_a"]), "--config",
+                     str(cfg), "--ra", "0.5", "--out", str(tmp_path / "m.json")]) == 0

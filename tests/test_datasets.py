@@ -7,8 +7,8 @@ from fisrul.clustering import subtractive_cluster
 from fisrul.datasets import (
     IMS_WINDOW_LEN,
     PHM_WINDOW_LEN,
-    load_ims,
-    load_phm,
+    iter_ims,
+    iter_phm,
     synth_bearing,
 )
 from fisrul.errors import LoadError
@@ -41,20 +41,18 @@ def make_phm_dir(tmp_path, n_files=3, rng=None):
 class TestLoadPhm:
     def test_three_files(self, tmp_path):
         root, originals = make_phm_dir(tmp_path)
-        recording = load_phm(root)
-        assert len(recording.windows) == 3
-        assert [w.timestamp for w in recording.windows] == [0.0, 10.0, 20.0]
-        assert recording.total_life == 20.0
-        assert recording.sample_interval == 10.0
-        for window, original in zip(recording.windows, originals):
+        windows = list(iter_phm(root))
+        assert len(windows) == 3
+        assert [w.timestamp for w in windows] == [0.0, 10.0, 20.0]
+        for window, original in zip(windows, originals):
             assert window.sample_rate == 25600.0
             np.testing.assert_array_equal(window.samples, original)
 
     def test_lossless_round_trip(self, tmp_path):
         # text -> binary -> text at full precision is bit-exact
         root, originals = make_phm_dir(tmp_path, n_files=1)
-        recording = load_phm(root)
-        reserialized = [repr(float(v)) for v in recording.windows[0].samples]
+        windows = list(iter_phm(root))
+        reserialized = [repr(float(v)) for v in windows[0].samples]
         assert reserialized == [repr(float(v)) for v in originals[0]]
 
     def test_semicolon_separated_variant(self, tmp_path):
@@ -62,8 +60,8 @@ class TestLoadPhm:
         root.mkdir()
         values = np.random.default_rng(0).normal(size=PHM_WINDOW_LEN)
         write_phm_file(root / "acc_00001.csv", values, separator=";")
-        recording = load_phm(root)
-        np.testing.assert_array_equal(recording.windows[0].samples, values)
+        windows = list(iter_phm(root))
+        np.testing.assert_array_equal(windows[0].samples, values)
 
     def test_short_file_rejected(self, tmp_path):
         root = tmp_path / "b"
@@ -71,13 +69,13 @@ class TestLoadPhm:
         write_phm_file(root / "acc_00001.csv",
                        np.zeros(PHM_WINDOW_LEN - 1))
         with pytest.raises(LoadError, match="2559"):
-            load_phm(root)
+            list(iter_phm(root))
 
     def test_empty_directory_rejected(self, tmp_path):
         root = tmp_path / "empty"
         root.mkdir()
         with pytest.raises(LoadError):
-            load_phm(root)
+            list(iter_phm(root))
 
     def test_malformed_row_names_file_and_line(self, tmp_path):
         root = tmp_path / "b"
@@ -88,14 +86,14 @@ class TestLoadPhm:
         lines[41] = "9,39,41,0,not-a-number,0.01"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(LoadError, match=r"acc_00001\.csv:42"):
-            load_phm(root)
+            list(iter_phm(root))
 
     def test_wrong_column_count_rejected(self, tmp_path):
         root = tmp_path / "b"
         root.mkdir()
         (root / "acc_00001.csv").write_text("1,2,3\n" * PHM_WINDOW_LEN)
         with pytest.raises(LoadError, match="columns"):
-            load_phm(root)
+            list(iter_phm(root))
 
     def test_non_monotone_file_indices_rejected(self, tmp_path):
         root = tmp_path / "b"
@@ -104,7 +102,7 @@ class TestLoadPhm:
         write_phm_file(root / "acc_1.csv", values)
         write_phm_file(root / "acc_02.csv", values)  # sorts before acc_1
         with pytest.raises(LoadError, match="increasing"):
-            load_phm(root)
+            list(iter_phm(root))
 
 
 def make_ims_dir(tmp_path, stamps, n_channels=4, rng=None):
@@ -125,11 +123,10 @@ class TestLoadIms:
     def test_two_files_channel_zero(self, tmp_path):
         stamps = ["2003.10.22.12.06.24", "2003.10.22.12.16.24"]
         root, data = make_ims_dir(tmp_path, stamps)
-        recording = load_ims(root, channel=0)
-        assert len(recording.windows) == 2
-        assert [w.timestamp for w in recording.windows] == [0.0, 600.0]
-        assert recording.sample_interval == 600.0
-        for window, block in zip(recording.windows, data):
+        windows = list(iter_ims(root, channel=0))
+        assert len(windows) == 2
+        assert [w.timestamp for w in windows] == [0.0, 600.0]
+        for window, block in zip(windows, data):
             assert window.samples.size == IMS_WINDOW_LEN
             assert window.sample_rate == 20000.0
             np.testing.assert_array_equal(window.samples, block[:, 0])
@@ -137,28 +134,28 @@ class TestLoadIms:
     def test_channel_selection(self, tmp_path):
         stamps = ["2003.10.22.12.06.24"]
         root, data = make_ims_dir(tmp_path, stamps)
-        recording = load_ims(root, channel=2)
-        np.testing.assert_array_equal(recording.windows[0].samples, data[0][:, 2])
+        windows = list(iter_ims(root, channel=2))
+        np.testing.assert_array_equal(windows[0].samples, data[0][:, 2])
 
     def test_channel_out_of_range_rejected(self, tmp_path):
         stamps = ["2003.10.22.12.06.24"]
         root, _ = make_ims_dir(tmp_path, stamps, n_channels=2)
         with pytest.raises(LoadError, match="channel"):
-            load_ims(root, channel=5)
+            list(iter_ims(root, channel=5))
 
     def test_non_monotone_timestamps_rejected(self, tmp_path):
         # lexicographic order '2003.10...' < '2003.2...' inverts chronology
         stamps = ["2003.10.22.12.06.24", "2003.2.23.12.06.24"]
         root, _ = make_ims_dir(tmp_path, stamps)
         with pytest.raises(LoadError, match="increasing"):
-            load_ims(root)
+            list(iter_ims(root))
 
     def test_short_file_rejected(self, tmp_path):
         root = tmp_path / "t"
         root.mkdir()
         (root / "2003.10.22.12.06.24").write_text("0.1\t0.2\n" * 100)
         with pytest.raises(LoadError, match="20480"):
-            load_ims(root)
+            list(iter_ims(root))
 
 
 class TestSynthBearing:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fisrul.clustering import TrainingTable
 from fisrul.errors import ConfigError
 from fisrul.features import (
     FeatureParams,
@@ -281,31 +282,30 @@ class TestExtractFeatures:
         ]
 
     def test_single_feature_shape(self, rng):
-        vectors = extract_features(self.windows(rng), ["rms"])
-        assert len(vectors) == 10
-        assert all(v.values.size == 1 for v in vectors)
+        table = extract_features(self.windows(rng), ["rms"])
+        assert table.features.shape == (10, 1)
 
     def test_five_feature_input_shape(self, rng):
-        vectors = extract_features(self.windows(rng), ["rms", "se", "ae", "lle", "cd"])
-        assert all(v.values.size == 5 for v in vectors)
+        table = extract_features(self.windows(rng), ["rms", "se", "ae", "lle", "cd"])
+        assert table.features.shape == (10, 5)
 
     def test_three_feature_input_with_diae(self, rng):
-        vectors = extract_features(self.windows(rng, count=12), ["rms", "se", "diae"])
-        assert all(v.values.size == 3 for v in vectors)
+        table = extract_features(self.windows(rng, count=12), ["rms", "se", "diae"])
+        assert table.features.shape == (12, 3)
 
     def test_rho_matches_ratio_formula(self, rng):
         from fisrul.rul import pul_ratio
 
         windows = self.windows(rng)
         windows = [make_window(w.samples, timestamp=w.timestamp + 10.0) for w in windows]
-        vectors = extract_features(windows, ["rms"], labeled=True)
+        table = extract_features(windows, ["rms"], labeled=True)
         life = windows[-1].timestamp
-        for w, v in zip(windows, vectors):
-            assert v.rho == pul_ratio(w.timestamp, life)
+        for w, rho in zip(windows, table.rho):
+            assert rho == pul_ratio(w.timestamp, life)
 
     def test_unlabeled_has_no_rho(self, rng):
-        vectors = extract_features(self.windows(rng), ["rms"])
-        assert all(v.rho is None for v in vectors)
+        table = extract_features(self.windows(rng), ["rms"])
+        assert table.rho is None
 
     def test_unknown_feature_rejected(self, rng):
         with pytest.raises(ConfigError, match="bogus"):
@@ -315,8 +315,7 @@ class TestExtractFeatures:
         windows = self.windows(rng, count=12)
         serial = extract_features(windows, ["rms", "se", "ae"], n_jobs=1)
         parallel = extract_features(windows, ["rms", "se", "ae"], n_jobs=4)
-        for a, b in zip(serial, parallel):
-            np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(serial.features, parallel.features)
 
     def test_non_increasing_timestamps_rejected(self, rng):
         windows = [make_window(rng.normal(size=64), timestamp=5.0),
@@ -326,23 +325,38 @@ class TestExtractFeatures:
 
     def test_csv_round_trip(self, rng, tmp_path):
         windows = self.windows(rng)
-        vectors = extract_features(windows, ["rms", "se"], labeled=True)
+        extracted = extract_features(windows, ["rms", "se"], labeled=True)
         path = tmp_path / "features.csv"
-        write_feature_csv(path, vectors, ["rms", "se"])
+        write_feature_csv(path, extracted)
         table = read_feature_csv(path)
         assert table.feature_names == ("rms", "se")
-        np.testing.assert_array_equal(
-            table.features, np.array([v.values for v in vectors]))
-        np.testing.assert_array_equal(table.rho, np.array([v.rho for v in vectors]))
-        np.testing.assert_array_equal(table.taus, np.array([v.tau for v in vectors]))
+        np.testing.assert_array_equal(table.features, extracted.features)
+        np.testing.assert_array_equal(table.rho, extracted.rho)
+        np.testing.assert_array_equal(table.taus, extracted.taus)
+
+    def test_zero_windows_rejected(self):
+        with pytest.raises(ValueError, match="no windows"):
+            extract_features(iter(()), ["rms"])
+
+    def test_csv_without_taus_rejected(self, rng, tmp_path):
+        table = extract_features(self.windows(rng), ["rms"])
+        table.taus = None
+        path = tmp_path / "features.csv"
+        with pytest.raises(ValueError, match="no taus"):
+            write_feature_csv(path, table)
+        assert not path.exists()
+
+    def test_csv_without_feature_columns_rejected(self, tmp_path):
+        table = TrainingTable(np.empty((3, 0)), taus=[1.0, 2.0, 3.0])
+        with pytest.raises(ConfigError, match="feature set is empty"):
+            write_feature_csv(tmp_path / "features.csv", table)
 
     def test_determinism(self, rng):
         windows = self.windows(rng)
         params = FeatureParams()
         a = extract_features(windows, ["rms", "se", "ae"], params)
         b = extract_features(windows, ["rms", "se", "ae"], params)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.values, y.values)
+        np.testing.assert_array_equal(a.features, b.features)
 
 
 class TestReadFeatureCsv:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import fisrul.cli  # noqa: F401  (TIMED names cli.main, looked up before install)
 from fisrul.clustering import subtractive_cluster
 from fisrul.datasets import synth_bearing
 
