@@ -112,9 +112,9 @@ def _provenance(datasets, cluster_config: ClusterConfig, variant: str) -> dict:
             "config": config, "config_hash": digest}
 
 
-def _read_tables(paths, labeled: bool = False):
-    """Feature tables keyed by file stem; ``labeled`` (evaluation input)
-    requires the rho column in every file."""
+def _read_tables(paths, purpose: str):
+    """Feature tables keyed by file stem.  Every file must carry the rho
+    column; ``purpose`` ("training", "evaluation") names the use in the error."""
     tables = {}
     for path in paths:
         table = read_feature_csv(path)
@@ -126,8 +126,8 @@ def _read_tables(paths, labeled: bool = False):
         key = Path(path).stem
         if key in tables:  # same stem from different directories
             key = str(path)
-        if labeled and table.rho is None:
-            raise ConfigError(f"{key}: evaluation needs the rho column")
+        if table.rho is None:
+            raise ConfigError(f"{key}: {purpose} needs the rho column")
         tables[key] = table
     return tables
 
@@ -140,9 +140,7 @@ def _check_feature_set(model, names, where) -> None:
 
 def _training_clusters(args, cfg: dict):
     """Pooled training table, effective cluster config and its clusters."""
-    pooled = concat_tables(_read_tables(args.train).values())
-    if pooled.rho is None:
-        raise ConfigError("training files must carry the rho column")
+    pooled = concat_tables(_read_tables(args.train, "training").values())
     cluster_config = _effective_cluster_config(args, cfg)
     return pooled, cluster_config, subtractive_cluster(pooled, cluster_config)
 
@@ -218,7 +216,7 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    tables = _read_tables(args.test, labeled=True)
+    tables = _read_tables(args.test, "evaluation")
     for name, table in tables.items():
         _check_feature_set(model, table.feature_names, name)
     order, frame = _sg_settings(args, _load_config(args.config))
@@ -234,7 +232,7 @@ def cmd_evaluate(args) -> int:
 def cmd_benchmark(args) -> int:
     cfg = _load_config(args.config)
     order, frame = _sg_settings(args, cfg)
-    test_tables = _read_tables(args.test, labeled=True)
+    test_tables = _read_tables(args.test, "evaluation")
     pooled, cluster_config, clusters = _training_clusters(args, cfg)
     reports = []
     for variant, identify in IDENTIFY.items():

@@ -14,6 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Byte budget of one block of the pairwise difference tensor; the block's row
+# count follows from it, so clustering memory does not grow with K squared.
+_BLOCK_BYTES = 8 * 2**20
+
 
 @dataclass
 class TrainingTable:
@@ -151,6 +155,13 @@ def input_sigmas(table: TrainingTable, ra: float) -> np.ndarray:
     return sigmas
 
 
+def _sq_dists(normed: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Squared distances from rows ``start:stop`` to every row: difference,
+    then sum of squares, so each entry rounds the same whatever the block."""
+    diff = normed[start:stop, None, :] - normed[None, :, :]
+    return np.sum(diff * diff, axis=2)
+
+
 def subtractive_cluster(table: TrainingTable, config: ClusterConfig | None = None
                         ) -> ClusterSet:
     """Select cluster centers among the joint input-output rows.
@@ -162,6 +173,10 @@ def subtractive_cluster(table: TrainingTable, config: ClusterConfig | None = Non
     next candidate is accepted or rejected against the thresholds, with the
     distance-ratio test arbitrating the gray zone.  The first candidate is
     always accepted, so at least one center is returned.
+
+    Cost: O(K^2) time for K rows.  Potentials are summed over blocks of rows
+    sized to a fixed byte budget, and a distance row is formed only for an
+    accepted center, so extra memory is bounded by that budget plus O(K).
     """
     config = config or ClusterConfig()
     data = table.matrix
@@ -172,16 +187,22 @@ def subtractive_cluster(table: TrainingTable, config: ClusterConfig | None = Non
     denom = np.where(span > 0.0, span, 1.0)
     normed = (data - lo) / denom
 
-    diff = normed[:, None, :] - normed[None, :, :]
-    sq_dists = np.sum(diff * diff, axis=2)
     alpha = 4.0 / config.ra**2
     beta = 4.0 / config.rb**2
-    potential = np.exp(-alpha * sq_dists).sum(axis=1)
+    block = max(1, _BLOCK_BYTES // (8 * normed.size))
+    potential = np.empty(n_rows)
+    for start in range(0, n_rows, block):
+        stop = start + block
+        potential[start:stop] = np.exp(
+            -alpha * _sq_dists(normed, start, stop)).sum(axis=1)
+
+    def falloff(center: int) -> np.ndarray:
+        return np.exp(-beta * _sq_dists(normed, center, center + 1)[0])
 
     first = int(np.argmax(potential))
     p_ref = float(potential[first])
     accepted = [first]
-    potential = potential - p_ref * np.exp(-beta * sq_dists[first])
+    potential = potential - p_ref * falloff(first)
 
     while len(accepted) < n_rows:
         candidate = int(np.argmax(potential))
@@ -200,7 +221,7 @@ def subtractive_cluster(table: TrainingTable, config: ClusterConfig | None = Non
                 potential[candidate] = 0.0
                 continue
         accepted.append(candidate)
-        potential = potential - p_star * np.exp(-beta * sq_dists[candidate])
+        potential = potential - p_star * falloff(candidate)
 
     indices = np.array(accepted, dtype=int)
     return ClusterSet(

@@ -462,6 +462,21 @@ class TestUnlabeledTestFile:
         assert not out.exists()
 
 
+class TestUnlabeledTrainingFile:
+    def test_train_names_the_file_and_exits_2(self, tmp_path, capsys):
+        root, _ = make_phm_dir(tmp_path)
+        unlabeled = tmp_path / "bearing9.csv"
+        assert main(["features", "--input", str(root), "--format", "phm",
+                     "--unlabeled", "--out", str(unlabeled)]) == 0
+        capsys.readouterr()
+        code = main(["train", "--train", str(unlabeled),
+                     "--out", str(tmp_path / "model.json")])
+        assert code == 2
+        assert ("error: bearing9: training needs the rho column"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "model.json").exists()
+
+
 class TestOneCurvePath:
     """evaluate and benchmark check what predict checks."""
 

@@ -1,8 +1,11 @@
 """Subtractive clustering against the brute-force potential oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fisrul import clustering, datasets
 from fisrul.clustering import (
     ClusterConfig,
     TrainingTable,
@@ -164,3 +167,64 @@ class TestSubtractiveCluster:
         table = TrainingTable(np.ones((3, 1)))
         with pytest.raises(ValueError):
             subtractive_cluster(table)
+
+
+def straddling_duplicates_table(rng):
+    """Two-group table whose group-a center row sits at rows 6 and 7, so
+    the tied max-potential pair straddles a 7-row block boundary."""
+    table = two_group_table(rng, n_per_group=13, spread=0.03)
+    features, rho = table.features.copy(), table.rho.copy()
+    features[6:8] = table.features[:13].mean(axis=0)
+    rho[6:8] = table.rho[:13].mean()
+    return TrainingTable(features, rho=rho)
+
+
+class TestBlockedPotentials:
+    """Row blocks of any size select the rows the brute-force oracle does."""
+
+    @staticmethod
+    def cluster_in_blocks(monkeypatch, table, block_rows):
+        bytes_per_row = 8 * table.matrix.size
+        monkeypatch.setattr(clustering, "_BLOCK_BYTES", block_rows * bytes_per_row)
+        return subtractive_cluster(table, ClusterConfig(ra=0.5))
+
+    @pytest.mark.parametrize("table", [
+        *(two_group_table(np.random.default_rng(trial), spread=0.03)
+          for trial in range(5)),
+        straddling_duplicates_table(np.random.default_rng(5)),
+    ])
+    def test_block_sizes_match_oracle(self, table, monkeypatch):
+        assert table.n_rows % 7 != 0
+        config = ClusterConfig(ra=0.5)
+        expected = brute_force_subtractive(
+            table.matrix, config.ra, config.rb,
+            config.eps_accept, config.eps_reject)
+        results = [self.cluster_in_blocks(monkeypatch, table, rows)
+                   for rows in (1, 7, table.n_rows)]
+        for clusters in results:
+            assert list(clusters.row_indices) == expected
+            np.testing.assert_array_equal(clusters.centers, results[-1].centers)
+
+    def test_tie_break_across_block_boundary(self, monkeypatch):
+        table = straddling_duplicates_table(np.random.default_rng(5))
+        np.testing.assert_array_equal(table.matrix[6], table.matrix[7])
+        for rows in (1, 7, table.n_rows):
+            clusters = self.cluster_in_blocks(monkeypatch, table, rows)
+            assert 6 in clusters.row_indices
+            assert 7 not in clusters.row_indices
+
+
+def test_pooled_fleet_clusters_in_bounded_memory():
+    """K=6000 rows, I=3: the full pairwise tensor would take about 2.5 GB."""
+    pooled = concat_tables(
+        datasets.synth_bearing(1000 + i, n_obs=750, n_features=3)
+        for i in range(8))
+    assert pooled.matrix.shape == (6000, 4)
+    tracemalloc.start()
+    try:
+        clusters = subtractive_cluster(pooled, ClusterConfig(ra=0.5))
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert clusters.n_rules >= 1
+    assert peak_mb < 64
