@@ -10,7 +10,6 @@ embedded in the model provenance.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -27,10 +26,11 @@ from .features import (
     extract_features,
     normalize_feature_names,
     read_feature_csv,
+    write_csv,
     write_feature_csv,
 )
 from .fis import identify_baseline, identify_weighted, load_model, save_model
-from .rul import _cell, evaluate_model, rul_curves, write_curves_csv, write_summary_csv
+from .rul import evaluate_model, rul_curves, write_curves_csv, write_summary_csv
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -132,16 +132,21 @@ def _read_tables(paths, purpose: str):
     return tables
 
 
-def _check_feature_set(model, names, where) -> None:
-    if names != model.feature_set:
-        raise ConfigError(f"{where}: feature set {names} does not match the "
-                          f"model's {model.feature_set}")
+def _check_feature_sets(model_names, tables) -> None:
+    """Every table, keyed by the name errors give it, has the model's columns."""
+    for where, table in tables.items():
+        if table.feature_names != model_names:
+            raise ConfigError(f"{where}: feature set {table.feature_names} does not "
+                              f"match the model's {model_names}")
 
 
-def _training_clusters(args, cfg: dict):
-    """Pooled training table, effective cluster config and its clusters."""
+def _training_clusters(args, cfg: dict, test_tables=None):
+    """Pooled training table, effective cluster config and its clusters.
+    The feature columns of ``test_tables`` are checked against the training
+    ones (the model's) before clustering."""
     pooled = concat_tables(_read_tables(args.train, "training").values())
     cluster_config = _effective_cluster_config(args, cfg)
+    _check_feature_sets(pooled.feature_names, test_tables or {})
     return pooled, cluster_config, subtractive_cluster(pooled, cluster_config)
 
 
@@ -159,7 +164,8 @@ def cmd_features(args) -> int:
                 f"{args.input}: feature(s) {missing} not present in "
                 f"{table.feature_names}")
         columns = [table.feature_names.index(n) for n in names]
-        table = TrainingTable(table.features[:, columns], table.rho, table.taus, names)
+        rho = None if args.unlabeled else table.rho
+        table = TrainingTable(table.features[:, columns], rho, table.taus, names)
     else:
         if args.format == "phm":
             windows = iter_phm(args.input)
@@ -177,12 +183,9 @@ def cmd_train(args) -> int:
     start = time.perf_counter()
     pooled, cluster_config, clusters = _training_clusters(args, _load_config(args.config))
     if args.dump_clusters:
-        with open(args.dump_clusters, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"c_{name}" for name in pooled.feature_names]
-                            + ["c_star"])
-            writer.writerows([repr(float(v)) for v in center]
-                             for center in clusters.centers)
+        write_csv(args.dump_clusters,
+                  [f"c_{name}" for name in pooled.feature_names] + ["c_star"],
+                  clusters.centers)
     model = IDENTIFY[args.variant](
         pooled, clusters, _provenance(args.train, cluster_config, args.variant))
     save_model(model, args.out)
@@ -199,17 +202,13 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     table = read_feature_csv(args.input)
-    _check_feature_set(model, table.feature_names, args.input)
+    _check_feature_sets(model.feature_set, {args.input: table})
     raw, clamped, rul, smoothed = rul_curves(
         model, table.features, table.taus, *_sg_settings(args, _load_config(args.config)))
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "tau", "rho_hat", "rho_hat_clamped",
-                         "rul_hat", "rul_hat_smoothed"])
-        for k, tau in enumerate(table.taus):
-            writer.writerow([str(k + 1), repr(float(tau)), repr(float(raw[k])),
-                             repr(float(clamped[k])), _cell(rul[k]),
-                             _cell(smoothed[k])])
+    write_csv(args.out, ["k", "tau", "rho_hat", "rho_hat_clamped", "rul_hat",
+                         "rul_hat_smoothed"],
+              zip(range(1, table.n_rows + 1), table.taus, raw, clamped, rul,
+                  smoothed))
     _log(f"{table.n_rows} predictions -> {args.out}")
     return 0
 
@@ -217,8 +216,7 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
     tables = _read_tables(args.test, "evaluation")
-    for name, table in tables.items():
-        _check_feature_set(model, table.feature_names, name)
+    _check_feature_sets(model.feature_set, tables)
     order, frame = _sg_settings(args, _load_config(args.config))
     report = evaluate_model(model, tables, sg_order=order, sg_frame=frame)
     write_curves_csv(report, f"{args.out}_curves.csv")
@@ -233,15 +231,13 @@ def cmd_benchmark(args) -> int:
     cfg = _load_config(args.config)
     order, frame = _sg_settings(args, cfg)
     test_tables = _read_tables(args.test, "evaluation")
-    pooled, cluster_config, clusters = _training_clusters(args, cfg)
+    pooled, cluster_config, clusters = _training_clusters(args, cfg, test_tables)
     reports = []
     for variant, identify in IDENTIFY.items():
         start = time.perf_counter()
         model = identify(pooled, clusters,
                          _provenance(args.train, cluster_config, variant))
         elapsed = time.perf_counter() - start
-        for name, table in test_tables.items():
-            _check_feature_set(model, table.feature_names, name)
         report = evaluate_model(model, test_tables, method=variant,
                                 sg_order=order, sg_frame=frame)
         reports.append(report)

@@ -24,7 +24,18 @@ from scipy.spatial.distance import pdist
 from .clustering import TrainingTable
 from .errors import ConfigError
 
-FEATURE_NAMES = ("rms", "se", "ae", "lle", "cd", "diae")
+# Per-window kernels by feature name.  Each looks its kernel up as a module
+# global at call time, so rebinding a kernel (as a profiler does) reaches it.
+_KERNELS = {
+    "rms": lambda w, p: rms(w),
+    "se": lambda w, p: spectral_entropy(w),
+    "ae": lambda w, p: approximate_entropy(w, p.ae_m, p.ae_r_tol, p.max_points),
+    "lle": lambda w, p: largest_lyapunov(w, p.lle_embed_dim, p.lle_lag, p.lle_mean_period,
+                                         p.lle_fit_range, max_points=p.max_points),
+    "cd": lambda w, p: correlation_dimension(w, p.cd_embed_dim, p.cd_lag,
+                                             max_points=p.max_points),
+}
+FEATURE_NAMES = (*_KERNELS, "diae")  # diae scores the whole ae series
 
 # Pairwise-distance features (ae, lle, cd) decimate the window to at most
 # this many samples so 20480-sample windows stay tractable.
@@ -387,29 +398,6 @@ def normalize_feature_names(feature_set: Iterable[str]) -> tuple[str, ...]:
     return names
 
 
-def _window_features(window: SignalWindow, base_names: tuple[str, ...],
-                     params: FeatureParams) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for name in base_names:
-        if name == "rms":
-            out[name] = rms(window)
-        elif name == "se":
-            out[name] = spectral_entropy(window)
-        elif name == "ae":
-            out[name] = approximate_entropy(
-                window, params.ae_m, params.ae_r_tol, params.max_points)
-        elif name == "lle":
-            out[name] = largest_lyapunov(
-                window, params.lle_embed_dim, params.lle_lag,
-                params.lle_mean_period, params.lle_fit_range,
-                max_points=params.max_points)
-        elif name == "cd":
-            out[name] = correlation_dimension(
-                window, params.cd_embed_dim, params.cd_lag,
-                max_points=params.max_points)
-    return out
-
-
 def extract_features(windows: Iterable[SignalWindow], feature_set: Iterable[str],
                      params: FeatureParams | None = None,
                      labeled: bool = False, n_jobs: int = 1) -> TrainingTable:
@@ -419,57 +407,45 @@ def extract_features(windows: Iterable[SignalWindow], feature_set: Iterable[str]
     materialized; only the scalar feature values are retained.  With
     ``labeled=True`` each row gets rho = tau / total life, the total life
     being the last window timestamp (run-to-failure convention).
-    ``n_jobs > 1`` processes the windows of each chunk in a thread pool;
-    results are independent of the execution order.
+    The windows of each chunk run in a pool of ``n_jobs`` threads (at least
+    one); results are independent of the execution order.
     """
     names = normalize_feature_names(feature_set)
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be at least 1, got {n_jobs}")
     params = params or FeatureParams()
     base_names = tuple(n for n in names if n != "diae")
     if "diae" in names and "ae" not in base_names:
         base_names = base_names + ("ae",)
 
     taus: list[float] = []
-    rows: list[dict[str, float]] = []
+    rows: list[list[float]] = []
     chunk_size = max(8, 4 * n_jobs)
     windows = iter(windows)
-    last_tau: float | None = None
-    compute = lambda w: _window_features(w, base_names, params)
-    pool = ThreadPoolExecutor(max_workers=n_jobs) if n_jobs > 1 else None
-    try:
-        while True:
-            chunk = list(islice(windows, chunk_size))
-            if not chunk:
-                break
+    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+        while chunk := list(islice(windows, chunk_size)):
             for w in chunk:
-                if last_tau is not None and w.timestamp <= last_tau:
+                if taus and w.timestamp <= taus[-1]:
                     raise ValueError(
                         f"window timestamps must be strictly increasing "
-                        f"({w.timestamp} after {last_tau})")
-                last_tau = w.timestamp
+                        f"({w.timestamp} after {taus[-1]})")
                 taus.append(w.timestamp)
-            if pool is not None:
-                rows.extend(pool.map(compute, chunk))
-            else:
-                rows.extend(map(compute, chunk))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            rows.extend(pool.map(
+                lambda w: [_KERNELS[n](w, params) for n in base_names], chunk))
 
     if not rows:
         raise ValueError("no windows to extract features from")
 
+    columns = dict(zip(base_names, np.array(rows).T))
     if "diae" in names:
-        ae_series = np.array([row["ae"] for row in rows])
         baseline_len = max(2, int(round(params.diae_baseline_frac * len(rows))))
-        diae = degradation_index(ae_series, baseline_len)
-        for row, value in zip(rows, diae):
-            row["diae"] = float(value)
+        columns["diae"] = degradation_index(columns["ae"], baseline_len)
 
     taus = np.array(taus)
     if labeled and not taus[-1] > 0:
         raise ValueError(f"total life must be positive, got {taus[-1]}")
     return TrainingTable(
-        features=np.array([[row[n] for n in names] for row in rows]),
+        features=np.column_stack([columns[n] for n in names]),
         rho=taus / taus[-1] if labeled else None,
         taus=taus,
         feature_names=names,
@@ -487,15 +463,26 @@ def write_feature_csv(path, table: TrainingTable) -> None:
     if table.taus is None:
         raise ValueError("feature CSV needs observation times; the table has no taus")
     rhos = [None] * table.n_rows if table.rho is None else table.rho
+    write_csv(path, ["k", "tau", *table.feature_names, "rho"],
+              ([k, tau, *values, rho] for k, (tau, values, rho)
+               in enumerate(zip(table.taus, table.features, rhos), start=1)))
+
+
+def _cell(value) -> str:
+    if isinstance(value, (str, int)):
+        return str(value)
+    if value is None or not math.isfinite(value):
+        return ""  # indeterminate or absent
+    return repr(float(value))
+
+
+def write_csv(path, header, rows) -> None:
+    """The one result-CSV writer: strings and ints as they are, other numbers
+    at full precision, None and non-finite values as empty cells."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["k", "tau"] + list(table.feature_names) + ["rho"])
-        rows = zip(table.taus, table.features, rhos)
-        for k, (tau, values, rho) in enumerate(rows, start=1):
-            row = [str(k), repr(float(tau))]
-            row += [repr(float(v)) for v in values]
-            row.append("" if rho is None else repr(float(rho)))
-            writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
 
 
 def _csv_float(text: str, path, lineno: int, name: str) -> float:

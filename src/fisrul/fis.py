@@ -70,6 +70,9 @@ class TSFISModel:
         shapes = (self.slopes.shape, self.offsets.shape, self.sigmas.shape)
         if shapes != ((j, i), (j,), (i,)):
             raise ValueError("slopes, offsets and sigmas do not match the J x I centers")
+        if len(self.feature_set) != i:
+            raise ValueError(f"feature_set has {len(self.feature_set)} name(s) "
+                             f"for {i} feature columns")
         if (self.sigmas <= 0.0).any():
             raise ValueError("membership spreads must be strictly positive")
         if self.variant not in ("baseline", "weighted"):
@@ -282,6 +285,9 @@ def load_model(path) -> TSFISModel:
     sigmas, rules = doc["sigmas"], doc["rules"]
     n = len(sigmas) if isinstance(sigmas, list) else -1
     _numbers(sigmas, f"{path}: sigmas", n)
+    names = doc["feature_set"]
+    if not (isinstance(names, list) and all(isinstance(x, str) for x in names)):
+        raise ConfigError(f"{path}: feature_set: expected a list of names, got {names!r}")
     if not isinstance(rules, list) or not rules:
         raise ConfigError(f"{path}: rules must be a non-empty list")
     keys = ("center", "a", "b")
@@ -312,7 +318,7 @@ def load_model(path) -> TSFISModel:
             offsets=column("b"),
             sigmas=np.array(sigmas, dtype=float),
             time_params=time_params,
-            feature_set=tuple(doc["feature_set"]),
+            feature_set=tuple(names),
             variant=doc["variant"],
             provenance=doc.get("provenance", {}),
         )

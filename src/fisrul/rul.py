@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -11,6 +10,7 @@ import numpy as np
 from scipy.signal import savgol_filter
 
 from .errors import ConfigError
+from .features import write_csv
 from .fis import TSFISModel, predict_table
 
 # Ratio estimates below this floor make the remaining-life conversion blow
@@ -192,36 +192,21 @@ def evaluate_model(model: TSFISModel, tables, method: str | None = None,
     return EvaluationReport(method=method or model.variant, bearings=evaluations)
 
 
-def _cell(value: float) -> str:
-    return "" if not math.isfinite(value) else repr(float(value))
-
-
 def write_curves_csv(report: EvaluationReport, path) -> None:
-    """Per-observation curves for external plotting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bearing", "k", "tau", "rho_true", "rho_hat",
-                         "rul_true", "rul_hat", "rul_hat_smoothed"])
-        for bearing in report.bearings:
-            for k in range(bearing.taus.size):
-                writer.writerow([
-                    bearing.bearing_id, str(k + 1),
-                    repr(float(bearing.taus[k])),
-                    repr(float(bearing.rho_true[k])),
-                    repr(float(bearing.rho_hat_raw[k])),
-                    _cell(bearing.rul_true[k]),
-                    _cell(bearing.rul_hat[k]),
-                    _cell(bearing.rul_hat_smoothed[k]),
-                ])
+    """Per-observation curves for external plotting; an empty RUL cell marks
+    an indeterminate point."""
+    write_csv(path, ["bearing", "k", "tau", "rho_true", "rho_hat", "rul_true",
+                     "rul_hat", "rul_hat_smoothed"],
+              ((b.bearing_id, k, *values) for b in report.bearings
+               for k, values in enumerate(zip(
+                   b.taus, b.rho_true, b.rho_hat_raw, b.rul_true, b.rul_hat,
+                   b.rul_hat_smoothed), start=1)))
 
 
 def write_summary_csv(reports, path) -> None:
     """Per-bearing RRMSE rows plus one ARRMSE row per method."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "bearing", "rrmse"])
-        for report in reports:
-            for bearing in report.bearings:
-                writer.writerow([report.method, bearing.bearing_id,
-                                 repr(bearing.rrmse)])
-            writer.writerow([report.method, "ARRMSE", repr(report.arrmse)])
+    rows = []
+    for report in reports:
+        rows += [(report.method, b.bearing_id, b.rrmse) for b in report.bearings]
+        rows.append((report.method, "ARRMSE", report.arrmse))
+    write_csv(path, ["method", "bearing", "rrmse"], rows)

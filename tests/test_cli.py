@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 
 from fisrul.cli import main
+from fisrul.clustering import ClusterConfig, subtractive_cluster
 from fisrul.datasets import iter_ims, iter_phm
 from fisrul.features import extract_features, read_feature_csv
+from fisrul.fis import TSFISModel, load_model, save_model
+from fisrul.rul import rul_curves
 
 from test_datasets import make_ims_dir, make_phm_dir
+from test_rul import assert_cells
 
 
 def sha256(path):
@@ -98,6 +102,27 @@ class TestFeaturesCommand:
         full_lines = full.read_text().strip().splitlines()
         assert [l.split(",")[2] for l in lines[1:]] == \
             [l.split(",")[3] for l in full_lines[1:]]
+
+    def test_csv_format_unlabeled_drops_rho(self, tmp_path):
+        root, _ = make_phm_dir(tmp_path)
+        full = tmp_path / "full.csv"
+        assert main(["features", "--input", str(root), "--format", "phm",
+                     "--features", "rms,se", "--out", str(full)]) == 0
+        subset = tmp_path / "subset.csv"
+        assert main(["features", "--input", str(full), "--format", "csv",
+                     "--features", "rms", "--unlabeled", "--out", str(subset)]) == 0
+        assert read_feature_csv(subset).rho is None
+        assert all(line.endswith(",") for line in subset.read_text().splitlines()[1:])
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_fewer_than_one_job_exits_1(self, jobs, tmp_path, capsys):
+        root, _ = make_phm_dir(tmp_path)
+        out = tmp_path / "x.csv"
+        code = main(["features", "--input", str(root), "--format", "phm",
+                     "--jobs", jobs, "--out", str(out)])
+        assert code == 1
+        assert f"error: n_jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_csv_format_missing_column_exits_2(self, tmp_path):
         root, _ = make_phm_dir(tmp_path)
@@ -258,24 +283,32 @@ class TestPredictCommand:
 
 
 class TestMalformedInputs:
-    @pytest.mark.parametrize("edit", [
-        lambda rule: rule.pop("b"),
-        lambda rule: rule["a"].append(0.5),
-        lambda rule: rule.update(center=["x"] * len(rule["center"])),
-        lambda rule: rule.update(weight=0.5),
-    ], ids=["missing-key", "wrong-length", "non-numeric", "rule-weight"])
-    def test_bad_model_rule_exits_2(self, edit, synth_csvs, tmp_path, capsys):
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["rules"][0].pop("b"), "rule 0: "),
+        (lambda doc: doc["rules"][0]["a"].append(0.5), "rule 0: "),
+        (lambda doc: doc["rules"][0].update(
+            center=["x"] * len(doc["rules"][0]["center"])), "rule 0: "),
+        (lambda doc: doc["rules"][0].update(weight=0.5), "rule 0: "),
+        (lambda doc: doc.update(feature_set=5),
+         "feature_set: expected a list of names, got 5"),
+        (lambda doc: doc.update(feature_set="f1f2"),
+         "feature_set: expected a list of names, got 'f1f2'"),
+        (lambda doc: doc.update(feature_set=["f1"]),
+         "feature_set has 1 name(s) for 2 feature columns"),
+    ], ids=["missing-key", "wrong-length", "non-numeric", "rule-weight",
+            "feature-set-number", "feature-set-string", "feature-set-too-short"])
+    def test_bad_model_rule_exits_2(self, edit, message, synth_csvs, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         assert main(["train", "--train", str(synth_csvs["train_a"]),
                      "--out", str(model_path)]) == 0
         doc = json.loads(model_path.read_text())
-        edit(doc["rules"][0])
+        edit(doc)
         model_path.write_text(json.dumps(doc))
         capsys.readouterr()
         code = main(["predict", "--model", str(model_path), "--input",
                      str(synth_csvs["test_a"]), "--out", str(tmp_path / "p.csv")])
         assert code == 2
-        assert f"error: {model_path}: rule 0: " in capsys.readouterr().err
+        assert f"error: {model_path}: {message}" in capsys.readouterr().err
 
     def test_bad_feature_cell_exits_2(self, synth_csvs, tmp_path, capsys):
         lines = synth_csvs["train_a"].read_text().splitlines()
@@ -287,6 +320,36 @@ class TestMalformedInputs:
         code = main(["train", "--train", str(bad), "--out", str(tmp_path / "m.json")])
         assert code == 2
         assert f"error: {bad}:6: column " in capsys.readouterr().err
+
+
+class TestResultCells:
+    """Result CSV cells read back exactly; empty exactly where indeterminate."""
+
+    def test_predict_cells(self, synth_csvs, tmp_path):
+        table = read_feature_csv(synth_csvs["test_a"])
+        # one affine rule in f1: its output falls below RHO_FLOOR on half the rows
+        model = TSFISModel(centers=[[0.0, 0.0]], slopes=[[1.0, 0.0]],
+                           offsets=[-np.median(table.features[:, 0])],
+                           sigmas=[1.0, 1.0], time_params=None,
+                           feature_set=table.feature_names, variant="baseline")
+        model_path, out = tmp_path / "model.json", tmp_path / "pred.csv"
+        save_model(model, model_path)
+        assert main(["predict", "--model", str(model_path), "--input",
+                     str(synth_csvs["test_a"]), "--out", str(out)]) == 0
+        raw, clamped, rul, smoothed = rul_curves(
+            load_model(model_path), table.features, table.taus)
+        assert np.isnan(rul).any() and np.isfinite(rul).any()
+        assert_cells(out, [[k, *values] for k, values in enumerate(
+            zip(table.taus, raw, clamped, rul, smoothed), start=1)])
+
+    def test_dump_clusters_cells(self, synth_csvs, tmp_path):
+        dump = tmp_path / "centers.csv"
+        assert main(["train", "--train", str(synth_csvs["train_a"]),
+                     "--dump-clusters", str(dump),
+                     "--out", str(tmp_path / "model.json")]) == 0
+        clusters = subtractive_cluster(read_feature_csv(synth_csvs["train_a"]),
+                                       ClusterConfig())
+        assert_cells(dump, clusters.centers.tolist())
 
 
 class TestEvaluateCommand:
@@ -506,11 +569,14 @@ class TestOneCurvePath:
         assert not out.exists()
 
     def test_benchmark_rejects_renamed_feature_columns(self, synth_csvs, tmp_path,
-                                                       capsys):
+                                                       capsys, monkeypatch):
         lines = synth_csvs["test_a"].read_text().splitlines()
         renamed = tmp_path / "renamed.csv"
         renamed.write_text("\n".join(["k,tau,rms,se,rho"] + lines[1:]) + "\n")
         out = tmp_path / "bench.csv"
+        clustered = []
+        monkeypatch.setattr("fisrul.cli.subtractive_cluster",
+                            lambda *args: clustered.append(args))
         code = main(["benchmark", "--train", str(synth_csvs["train_a"]),
                      str(synth_csvs["train_b"]), "--test", str(renamed),
                      "--out", str(out)])
@@ -519,6 +585,7 @@ class TestOneCurvePath:
         assert "error: renamed: feature set ('rms', 'se') does not match the " \
                "model's ('f1', 'f2')" in err
         assert not out.exists()
+        assert clustered == []
 
 
 class TestMalformedConfig:

@@ -22,6 +22,7 @@ from fisrul.features import (
     read_feature_csv,
     rms,
     spectral_entropy,
+    write_csv,
     write_feature_csv,
 )
 
@@ -317,6 +318,36 @@ class TestExtractFeatures:
         parallel = extract_features(windows, ["rms", "se", "ae"], n_jobs=4)
         np.testing.assert_array_equal(serial.features, parallel.features)
 
+    @pytest.mark.parametrize("n_jobs", [0, -1])
+    def test_fewer_than_one_job_rejected(self, rng, n_jobs):
+        with pytest.raises(ValueError, match=f"n_jobs must be at least 1, got {n_jobs}"):
+            extract_features(self.windows(rng), ["rms"], n_jobs=n_jobs)
+
+    @pytest.mark.parametrize("order", [
+        ["cd", "rms", "ae"], ["diae", "rms"], ["ae", "diae", "se", "lle"],
+    ], ids=["cd-rms-ae", "diae-without-ae", "ae-diae-se-lle"])
+    def test_columns_equal_direct_kernel_calls(self, rng, order):
+        p = FeatureParams(ae_m=3, ae_r_tol=0.3, lle_embed_dim=4, lle_lag=2,
+                          lle_mean_period=3, lle_fit_range=(1, 6), cd_embed_dim=3,
+                          cd_lag=2, diae_baseline_frac=0.3, max_points=250)
+        windows = self.windows(rng, count=12, length=400)
+        table = extract_features(windows, order, p)
+        ae = [approximate_entropy(w, p.ae_m, p.ae_r_tol, p.max_points) for w in windows]
+        direct = {
+            "rms": lambda: [rms(w) for w in windows],
+            "se": lambda: [spectral_entropy(w) for w in windows],
+            "ae": lambda: ae,
+            "lle": lambda: [largest_lyapunov(
+                w, p.lle_embed_dim, p.lle_lag, p.lle_mean_period, p.lle_fit_range,
+                max_points=p.max_points) for w in windows],
+            "cd": lambda: [correlation_dimension(
+                w, p.cd_embed_dim, p.cd_lag, max_points=p.max_points) for w in windows],
+            "diae": lambda: degradation_index(ae, 4),  # round(0.3 * 12) rows
+        }
+        assert table.feature_names == tuple(order)
+        for j, name in enumerate(order):
+            np.testing.assert_array_equal(table.features[:, j], direct[name]())
+
     def test_non_increasing_timestamps_rejected(self, rng):
         windows = [make_window(rng.normal(size=64), timestamp=5.0),
                    make_window(rng.normal(size=64), timestamp=5.0)]
@@ -357,6 +388,16 @@ class TestExtractFeatures:
         a = extract_features(windows, ["rms", "se", "ae"], params)
         b = extract_features(windows, ["rms", "se", "ae"], params)
         np.testing.assert_array_equal(a.features, b.features)
+
+
+class TestWriteCsv:
+    def test_cell_rules(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        write_csv(path, ["a", "b"], [
+            ["id", 7, 0.1, np.float64(1 / 3), np.int64(2), None, math.nan, -math.inf],
+        ])
+        assert path.read_text().splitlines() == [
+            "a,b", "id,7,0.1,0.3333333333333333,2.0,,,"]
 
 
 class TestReadFeatureCsv:

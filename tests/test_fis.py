@@ -169,6 +169,12 @@ class TestInfer:
             TSFISModel(**arrays, time_params=None, feature_set=("f1",),
                        variant="baseline")
 
+    def test_feature_set_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"feature_set has 1 name\(s\) for 2 "):
+            TSFISModel(centers=[[0.0, 1.0]], slopes=[[1.0, 0.0]], offsets=[0.5],
+                       sigmas=[1.0, 1.0], time_params=None, feature_set=("f1",),
+                       variant="baseline")
+
 
 class TestIdentifyBaseline:
     def test_exact_line_fit(self):

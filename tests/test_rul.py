@@ -24,6 +24,24 @@ from fisrul.rul import (
 from fisrul.rul import rul_curves
 
 
+def assert_cells(path, expected):
+    """Each data cell of the CSV at ``path`` holds its expected value: text
+    and ints as they are, other numbers reading back with float() exactly,
+    and an empty cell exactly where the value is not finite."""
+    lines = path.read_text().splitlines()[1:]
+    assert len(lines) == len(expected)
+    for line, want in zip(lines, expected):
+        cells = line.split(",")
+        assert len(cells) == len(want)
+        for cell, value in zip(cells, want):
+            if isinstance(value, (str, int)):
+                assert cell == str(value)
+            elif math.isfinite(value):
+                assert float(cell) == value
+            else:
+                assert cell == ""
+
+
 class TestPulRatio:
     def test_end_of_life(self):
         assert pul_ratio(100.0, 100.0) == 1.0
@@ -213,6 +231,26 @@ class TestEvaluateModel:
         assert summary_lines[0] == "method,bearing,rrmse"
         assert len(summary_lines) == 4  # two bearings + ARRMSE row
         assert summary_lines[-1].startswith("baseline,ARRMSE,")
+
+
+    def test_report_cells_read_back_exactly(self, tmp_path):
+        _, table = self.perfect_model_and_table()
+        # 0.5 v - 0.3 falls below RHO_FLOOR on the first 7 of the 30 rows
+        model = TSFISModel(centers=[[1.0]], slopes=[[0.5]], offsets=[-0.3],
+                           sigmas=[0.5], time_params=None, feature_set=("f1",),
+                           variant="baseline")
+        report = evaluate_model(model, {"b1": table}, sg_frame=11)
+        b = report.bearings[0]
+        assert np.count_nonzero(np.isnan(b.rul_hat)) == 7
+        curves, summary = tmp_path / "curves.csv", tmp_path / "summary.csv"
+        write_curves_csv(report, curves)
+        write_summary_csv([report], summary)
+        assert_cells(curves, [
+            ["b1", k, *values] for k, values in enumerate(zip(
+                b.taus, b.rho_true, b.rho_hat_raw, b.rul_true, b.rul_hat,
+                b.rul_hat_smoothed), start=1)])
+        assert_cells(summary, [["baseline", "b1", b.rrmse],
+                               ["baseline", "ARRMSE", report.arrmse]])
 
 
 class TestRulCurves:
