@@ -18,8 +18,6 @@ from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import pdist
 
 from .clustering import TrainingTable
 from .errors import ConfigError
@@ -136,6 +134,8 @@ def spectral_entropy(window) -> float:
 
 def _apen_phi(x: np.ndarray, m: int, r: float) -> float:
     """Mean log proportion of template matches at length m (self-matches included)."""
+    from scipy.spatial import cKDTree
+
     templates = np.lib.stride_tricks.sliding_window_view(x, m)
     count = templates.shape[0]
     # Chebyshev ball counts; the tree applies the same |a - b| <= r test per
@@ -216,6 +216,8 @@ def _theiler_neighbors(points: np.ndarray, mean_period: int) -> np.ndarray:
     argmin over the full distance matrix.  Raises ValueError when the
     window leaves some point without any neighbor.
     """
+    from scipy.spatial import cKDTree
+
     m = points.shape[0]
     if 2 * mean_period >= m - 1:
         # the middle point has no neighbor outside its Theiler window
@@ -334,6 +336,8 @@ def correlation_dimension(window, embed_dim: int = 5, embed_lag: int | None = No
     stable linear region (5+ grid points with local slopes within 20%).
     A degenerate (constant) window returns 0.
     """
+    from scipy.spatial.distance import pdist
+
     x = _decimate(_samples(window), max_points)
     if np.ptp(x) == 0.0:
         return 0.0

@@ -7,7 +7,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import savgol_filter
 
 from .errors import ConfigError
 from .features import write_csv
@@ -30,12 +29,13 @@ def pul_ratio(tau: float, total_life: float) -> float:
 
 
 def rul_from_ratio(rho_hat: float, tau: float, floor: float = RHO_FLOOR) -> float:
-    """Remaining useful life (1/rho - 1) * tau; NaN when rho is below floor."""
+    """Remaining useful life (1/rho - 1) * tau; NaN when rho is below floor
+    or at tau = 0, where the product is 0 whatever the ratio."""
     if tau < 0:
         raise ValueError(f"tau must be non-negative, got {tau}")
     if rho_hat > 1.0:
         raise ValueError(f"ratio estimate must not exceed 1, got {rho_hat}")
-    if not rho_hat >= floor:  # also catches NaN
+    if not rho_hat >= floor or tau == 0:  # also catches NaN
         return INDETERMINATE
     return (1.0 / rho_hat - 1.0) * tau
 
@@ -43,9 +43,13 @@ def rul_from_ratio(rho_hat: float, tau: float, floor: float = RHO_FLOOR) -> floa
 def savitzky_golay(series, order: int = 2, frame: int = 61) -> np.ndarray:
     """Least-squares polynomial smoothing over a centered frame.
 
-    Boundary points are fitted with the edge-window polynomial evaluated
-    off-center, so the output length equals the input length.  Series
-    shorter than the frame pass through unchanged with a warning.
+    Each point takes the degree-``order`` least-squares polynomial over its
+    frame, applied as a row of the projection ``V @ pinv(V)``, where ``V`` is
+    the Vandermonde matrix of the offsets -h..h and h = frame // 2.  The
+    first and last h points take the first or last frame's polynomial
+    evaluated off-center (scipy's ``interp`` mode), so the output length
+    equals the input length.  Series shorter than the frame pass through
+    unchanged with a warning.
     """
     if frame % 2 == 0:
         raise ConfigError(f"filter frame length must be odd, got {frame}")
@@ -57,7 +61,14 @@ def savitzky_golay(series, order: int = 2, frame: int = 61) -> np.ndarray:
             f"series of {x.size} points is shorter than the filter frame "
             f"({frame}); returning it unsmoothed", RuntimeWarning, stacklevel=2)
         return x.copy()
-    return savgol_filter(x, frame, order, mode="interp")
+    h = frame // 2
+    vander = np.arange(-h, h + 1, dtype=float)[:, None] ** np.arange(order + 1)
+    proj = vander @ np.linalg.pinv(vander)
+    out = np.empty_like(x)
+    out[h:x.size - h] = np.lib.stride_tricks.sliding_window_view(x, frame) @ proj[h]
+    out[:h] = proj[:h] @ x[:frame]
+    out[x.size - h:] = proj[h + 1:] @ x[x.size - frame:]
+    return out
 
 
 def smooth_rul(series, order: int = 2, frame: int = 61) -> np.ndarray:

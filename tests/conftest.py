@@ -115,6 +115,25 @@ def brute_force_theiler_neighbors(points, mean_period):
     return neighbors
 
 
+def brute_force_savgol(x, order, frame):
+    """Savitzky-Golay smoothing one point at a time with ``np.polyfit``.
+
+    Each point is the value of the degree-``order`` polynomial fitted to its
+    own centered frame; the first and last ``frame // 2`` points have no
+    centered frame and take the first or last frame's fit, evaluated off
+    center.
+    """
+    x = np.asarray(x, dtype=float)
+    n, half = x.size, frame // 2
+    offsets = np.arange(-half, half + 1)
+    out = np.empty(n)
+    for i in range(n):
+        start = min(max(i - half, 0), n - frame)
+        coeffs = np.polyfit(offsets, x[start:start + frame], order)
+        out[i] = np.polyval(coeffs, i - start - half)
+    return out
+
+
 def two_group_table(rng, n_per_group=10, spread=0.02):
     """Two tight groups in the joint (feature, rho) space."""
     a = np.column_stack([

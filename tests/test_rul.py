@@ -23,6 +23,8 @@ from fisrul.rul import (
 )
 from fisrul.rul import rul_curves
 
+from conftest import brute_force_savgol
+
 
 def assert_cells(path, expected):
     """Each data cell of the CSV at ``path`` holds its expected value: text
@@ -72,6 +74,11 @@ class TestRulFromRatio:
     @pytest.mark.parametrize("rho", [0.0, -0.2, 5e-4, math.nan])
     def test_indeterminate_below_floor(self, rho):
         assert math.isnan(rul_from_ratio(rho, 100.0))
+
+    @pytest.mark.parametrize("rho", [1e-3, 0.5, 1.0])
+    def test_indeterminate_at_time_zero(self, rho):
+        # (1/rho - 1) * 0 would read as end of life whatever rho is
+        assert math.isnan(rul_from_ratio(rho, 0.0))
 
     def test_ratio_above_one_rejected(self):
         with pytest.raises(ValueError):
@@ -134,6 +141,38 @@ class TestSavitzkyGolay:
         with pytest.warns(RuntimeWarning):
             out = savitzky_golay(x, order=2, frame=61)
         np.testing.assert_array_equal(out, x)
+
+    @staticmethod
+    def rul_like(seed, length):
+        """Positive, decreasing-ish series with noise, as RUL estimates are."""
+        gen = np.random.default_rng(seed)
+        trend = np.linspace(gen.uniform(50.0, 2e4), gen.uniform(0.0, 50.0), length)
+        return trend * (1.0 + gen.normal(0.0, 0.1, length)) + gen.normal(0.0, 5.0, length)
+
+    @staticmethod
+    def assert_close(actual, expected, series):
+        np.testing.assert_allclose(actual, expected, rtol=1e-9,
+                                   atol=1e-12 * np.abs(series).max())
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force_polyfit(self, data):
+        frame = data.draw(st.integers(2, 30), label="half") * 2 + 1
+        order = data.draw(st.integers(1, min(4, frame - 1)), label="order")
+        length = data.draw(st.integers(frame, 3 * frame), label="length")
+        x = self.rul_like(data.draw(st.integers(0, 2**32 - 1), label="seed"), length)
+        self.assert_close(savitzky_golay(x, order, frame),
+                          brute_force_savgol(x, order, frame), x)
+
+    @pytest.mark.parametrize("frame,order,length", [
+        (5, 1, 5), (5, 4, 12), (7, 2, 20), (31, 3, 64), (61, 2, 61), (61, 2, 750),
+        (61, 4, 183)])
+    def test_matches_scipy_interp_mode(self, frame, order, length):
+        from scipy.signal import savgol_filter
+
+        x = self.rul_like(frame * 100 + order, length)
+        self.assert_close(savitzky_golay(x, order, frame),
+                          savgol_filter(x, frame, order, mode="interp"), x)
 
     def test_smooth_rul_keeps_nan_runs(self):
         x = np.concatenate([[np.nan, np.nan], np.arange(20.0)])
