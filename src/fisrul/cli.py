@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -30,7 +31,8 @@ from .features import (
     write_feature_csv,
 )
 from .fis import identify_baseline, identify_weighted, load_model, save_model
-from .rul import evaluate_model, rul_curves, write_curves_csv, write_summary_csv
+from .rul import (SG_FRAME, SG_ORDER, check_filter, evaluate_model, rul_curves,
+                  write_curves_csv, write_summary_csv)
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -41,67 +43,63 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path) as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not a JSON document: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: expected a JSON object, got {cfg!r}")
-    version = cfg.get("version", CONFIG_SCHEMA_VERSION)
+def _filter(sg_order: int = SG_ORDER, sg_frame: int = SG_FRAME) -> tuple[int, int]:
+    check_filter(sg_order, sg_frame)
+    return sg_order, sg_frame
+
+
+# Config sections and what builds each; a builder's parameters are the
+# section's keys, and their defaults the defaults.
+SECTIONS = {"cluster": ClusterConfig, "features": FeatureParams, "filter": _filter}
+
+
+def _settings(args) -> dict:
+    """Every section's settings, built from the whole ``--config`` document
+    with the command-line flags on top (a flag is an argument named like a
+    builder parameter).  A section's values are numbers, integers where the
+    parameter is annotated ``int`` (a pair for a tuple), or null where the
+    default is null.  A bad flag raises its own error; every other problem
+    is a ConfigError naming the file and the section or key."""
+    path, doc = args.config, {}
+    if path is not None:
+        with open(path) as fh:
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}: not a JSON document: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path}: expected a JSON object, got {doc!r}")
+    version = doc.get("version", CONFIG_SCHEMA_VERSION)
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"{path}: unsupported config version: {version}")
-    return cfg
-
-
-def _section(args, cfg: dict, name: str, defaults: dict) -> dict:
-    """Config section ``name``: an object whose keys are in ``defaults`` and
-    whose values are numbers (integers where the default is one, a pair of
-    them for ``lle_fit_range``), or null where the default is null;
-    ConfigError naming the file and key otherwise."""
-    section = cfg.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{args.config}: section {name!r} is not an object")
-    for key, value in section.items():
-        if key not in defaults:
-            raise ConfigError(f"{args.config}: {name}: unknown key {key!r}")
-        kinds = (int,) if type(defaults[key]) is int else (int, float)
-        pair = key == "lle_fit_range" and isinstance(value, list) and len(value) == 2
-        cells = value if pair else [value]
-        if not (value is None and defaults[key] is None or all(
-                type(c) in kinds and math.isfinite(c) for c in cells)):
-            raise ConfigError(f"{args.config}: {name}.{key}: not a number: {value!r}")
-    return section
-
-
-def _effective_cluster_config(args, cfg: dict) -> ClusterConfig:
-    section = _section(args, cfg, "cluster", {
-        f.name: f.default for f in dataclasses.fields(ClusterConfig)})
-    flags = {k: getattr(args, k) for k in ("ra", "rb") if getattr(args, k) is not None}
-    try:
-        return ClusterConfig(**{**section, **flags})
-    except ValueError as exc:
-        ClusterConfig(**flags)  # a bad --ra/--rb flag raises its own error
-        raise ConfigError(f"{args.config}: cluster: {exc}") from None
-
-
-def _effective_feature_params(args, cfg: dict) -> FeatureParams:
-    section = dict(_section(args, cfg, "features", {
-        f.name: f.default for f in dataclasses.fields(FeatureParams)}))
-    if section.get("lle_fit_range") is not None:
-        section["lle_fit_range"] = tuple(section["lle_fit_range"])
-    return FeatureParams(**section)
-
-
-def _sg_settings(args, cfg: dict) -> tuple[int, int]:
-    settings = {"sg_order": 2, "sg_frame": 61}
-    settings.update(_section(args, cfg, "filter", settings))
-    if args.sg_frame is not None:
-        settings["sg_frame"] = args.sg_frame
-    return settings["sg_order"], settings["sg_frame"]
+    unknown = sorted(doc.keys() - SECTIONS.keys() - {"version"})
+    if unknown:
+        raise ConfigError(f"{path}: unknown section {unknown[0]!r}")
+    settings = {}
+    for name, build in SECTIONS.items():
+        section, values = doc.get(name, {}), {}
+        if not isinstance(section, dict):
+            raise ConfigError(f"{path}: section {name!r} is not an object")
+        params = inspect.signature(build).parameters
+        for key, value in section.items():
+            if key not in params:
+                raise ConfigError(f"{path}: {name}: unknown key {key!r}")
+            hint = str(params[key].annotation)
+            kinds = (int,) if "int" in hint else (int, float)
+            pair = hint.startswith("tuple") and type(value) is list and len(value) == 2
+            cells = value if pair else [value]
+            if not (value is None and params[key].default is None or all(
+                    type(c) in kinds and math.isfinite(c) for c in cells)):
+                raise ConfigError(f"{path}: {name}.{key}: not a number: {value!r}")
+            values[key] = tuple(value) if pair else value
+        flags = {k: getattr(args, k) for k in params
+                 if getattr(args, k, None) is not None}
+        try:
+            settings[name] = build(**{**values, **flags})
+        except ValueError as exc:
+            build(**flags)  # a bad flag raises its own error
+            raise ConfigError(f"{path}: {name}: {exc}") from None
+    return settings
 
 
 def _provenance(datasets, cluster_config: ClusterConfig, variant: str) -> dict:
@@ -140,21 +138,19 @@ def _check_feature_sets(model_names, tables) -> None:
                               f"match the model's {model_names}")
 
 
-def _training_clusters(args, cfg: dict, test_tables=None):
-    """Pooled training table, effective cluster config and its clusters.
-    The feature columns of ``test_tables`` are checked against the training
-    ones (the model's) before clustering."""
+def _training_clusters(args, cluster_config: ClusterConfig, test_tables=None):
+    """Pooled training table and its clusters.  The feature columns of
+    ``test_tables`` are checked against the training ones (the model's)
+    before clustering."""
     pooled = concat_tables(_read_tables(args.train, "training").values())
-    cluster_config = _effective_cluster_config(args, cfg)
     _check_feature_sets(pooled.feature_names, test_tables or {})
-    return pooled, cluster_config, subtractive_cluster(pooled, cluster_config)
+    return pooled, subtractive_cluster(pooled, cluster_config)
 
 
 def cmd_features(args) -> int:
     start = time.perf_counter()
     names = normalize_feature_names(args.features.split(","))
-    cfg = _load_config(args.config)
-    params = _effective_feature_params(args, cfg)
+    params = _settings(args)["features"]
     if args.format == "csv":
         # column subsetting of an existing feature CSV
         table = read_feature_csv(args.input)
@@ -181,7 +177,8 @@ def cmd_features(args) -> int:
 
 def cmd_train(args) -> int:
     start = time.perf_counter()
-    pooled, cluster_config, clusters = _training_clusters(args, _load_config(args.config))
+    cluster_config = _settings(args)["cluster"]
+    pooled, clusters = _training_clusters(args, cluster_config)
     if args.dump_clusters:
         write_csv(args.dump_clusters,
                   [f"c_{name}" for name in pooled.feature_names] + ["c_star"],
@@ -200,11 +197,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    order, frame = _settings(args)["filter"]
     model = load_model(args.model)
     table = read_feature_csv(args.input)
     _check_feature_sets(model.feature_set, {args.input: table})
     raw, clamped, rul, smoothed = rul_curves(
-        model, table.features, table.taus, *_sg_settings(args, _load_config(args.config)))
+        model, table.features, table.taus, order, frame)
     write_csv(args.out, ["k", "tau", "rho_hat", "rho_hat_clamped", "rul_hat",
                          "rul_hat_smoothed"],
               zip(range(1, table.n_rows + 1), table.taus, raw, clamped, rul,
@@ -214,10 +212,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    order, frame = _settings(args)["filter"]
     model = load_model(args.model)
     tables = _read_tables(args.test, "evaluation")
     _check_feature_sets(model.feature_set, tables)
-    order, frame = _sg_settings(args, _load_config(args.config))
     report = evaluate_model(model, tables, sg_order=order, sg_frame=frame)
     write_curves_csv(report, f"{args.out}_curves.csv")
     write_summary_csv([report], f"{args.out}_summary.csv")
@@ -228,15 +226,15 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    cfg = _load_config(args.config)
-    order, frame = _sg_settings(args, cfg)
+    settings = _settings(args)
+    order, frame = settings["filter"]
     test_tables = _read_tables(args.test, "evaluation")
-    pooled, cluster_config, clusters = _training_clusters(args, cfg, test_tables)
+    pooled, clusters = _training_clusters(args, settings["cluster"], test_tables)
     reports = []
     for variant, identify in IDENTIFY.items():
         start = time.perf_counter()
         model = identify(pooled, clusters,
-                         _provenance(args.train, cluster_config, variant))
+                         _provenance(args.train, settings["cluster"], variant))
         elapsed = time.perf_counter() - start
         report = evaluate_model(model, test_tables, method=variant,
                                 sg_order=order, sg_frame=frame)

@@ -85,6 +85,24 @@ class FeatureParams:
     diae_baseline_frac: float = 0.1
     max_points: int = MAX_PAIRWISE_POINTS
 
+    def __post_init__(self):
+        # max_points 0 means no decimation; a null lag or period is estimated
+        for name, low in (("ae_m", 1), ("lle_embed_dim", 1), ("lle_lag", 1),
+                          ("lle_mean_period", 0), ("cd_embed_dim", 1), ("cd_lag", 1),
+                          ("max_points", 0)):
+            value = getattr(self, name)
+            if value is not None and not value >= low:
+                raise ValueError(f"{name} must be at least {low}, got {value}")
+        if not self.ae_r_tol > 0:
+            raise ValueError(f"ae_r_tol must be positive, got {self.ae_r_tol}")
+        if not 0 < self.diae_baseline_frac < 1:
+            raise ValueError(f"diae_baseline_frac must lie in (0, 1), "
+                             f"got {self.diae_baseline_frac}")
+        if self.lle_fit_range is not None and not (
+                0 <= self.lle_fit_range[0] < self.lle_fit_range[1]):
+            raise ValueError(f"lle_fit_range must be null or (lo, hi) with "
+                             f"0 <= lo < hi, got {self.lle_fit_range}")
+
 
 def _samples(window) -> np.ndarray:
     if isinstance(window, SignalWindow):
@@ -99,7 +117,10 @@ def _samples(window) -> np.ndarray:
 
 
 def _decimate(x: np.ndarray, max_points: int) -> np.ndarray:
-    """Deterministic stride subsampling used by the pairwise-distance features."""
+    """Deterministic stride subsampling used by the pairwise-distance
+    features; a cap of 0 keeps every sample."""
+    if max_points < 0:
+        raise ValueError(f"max_points must be non-negative, got {max_points}")
     if max_points and x.size > max_points:
         stride = math.ceil(x.size / max_points)
         return x[::stride]
@@ -177,8 +198,9 @@ def _embed(x: np.ndarray, dim: int, lag: int) -> np.ndarray:
     return np.column_stack([x[i * lag : i * lag + n] for i in range(dim)])
 
 
-def _first_acf_minimum(x: np.ndarray, cap: int = 10) -> int:
-    """Lag of the first local minimum of the autocorrelation, capped."""
+def _first_acf_minimum(x: np.ndarray) -> int:
+    """Lag of the first local minimum of the autocorrelation, capped at 10."""
+    cap = 10
     x = x - x.mean()
     denom = float(np.dot(x, x))
     max_lag = min(cap + 1, x.size - 1)
@@ -208,9 +230,10 @@ def _theiler_neighbors(points: np.ndarray, mean_period: int) -> np.ndarray:
     """Index of each point's Euclidean nearest neighbor more than
     ``mean_period`` steps away in time, ties going to the lowest index.
 
-    KD-tree k-nearest queries supply the candidates; ``k`` doubles for the
-    rows whose k hits hold no point outside the window, or whose last hit
-    still lies inside the tolerance band (more tied points may follow).
+    KD-tree k-nearest queries supply the candidates, starting at
+    ``k = 2*mean_period + 2``, one more than the window holds, so every row
+    has a hit outside it; ``k`` doubles for the rows whose last hit still
+    lies inside the tolerance band (more tied points may follow).
     The hits within ``_NN_REL_BAND`` of the first valid distance are
     re-scored as ``np.sqrt(np.sum((a - b) ** 2))``, so the choice equals an
     argmin over the full distance matrix.  Raises ValueError when the
@@ -232,8 +255,7 @@ def _theiler_neighbors(points: np.ndarray, mean_period: int) -> np.ndarray:
         k = min(k, m)
         dist, hits = tree.query(points[todo], k=k)
         valid = np.abs(hits - todo[:, None]) > mean_period
-        first = np.where(valid.any(axis=1),
-                         dist[np.arange(todo.size), valid.argmax(axis=1)], np.inf)
+        first = dist[np.arange(todo.size), valid.argmax(axis=1)]
         limit = first * (1.0 + _NN_REL_BAND)
         done = (dist[:, -1] > limit) | (k == m)
         rows, cols = np.nonzero(valid[done] & (dist[done] <= limit[done, None]))
@@ -253,7 +275,6 @@ def _theiler_neighbors(points: np.ndarray, mean_period: int) -> np.ndarray:
 def largest_lyapunov(window, embed_dim: int = 5, embed_lag: int | None = None,
                      mean_period: int | None = None,
                      fit_range: tuple[int, int] | None = None,
-                     n_steps: int | None = None,
                      max_points: int = MAX_PAIRWISE_POINTS) -> float:
     """Largest Lyapunov exponent per sample step, Rosenstein's method.
 
@@ -275,8 +296,7 @@ def largest_lyapunov(window, embed_dim: int = 5, embed_lag: int | None = None,
     nn = _theiler_neighbors(points, mean_period)
     idx = np.arange(m)
 
-    if n_steps is None:
-        n_steps = max(3, min(50, m // 4))
+    n_steps = max(3, min(50, m // 4))
     divergence = np.full(n_steps, np.nan)
     coincident = np.zeros(n_steps, dtype=bool)  # every pair at distance 0
     for k in range(n_steps):
@@ -308,9 +328,10 @@ def largest_lyapunov(window, embed_dim: int = 5, embed_lag: int | None = None,
     return float(slope)
 
 
-def _stable_slope_run(log_r: np.ndarray, log_c: np.ndarray,
-                      min_points: int = 5, rel_var: float = 0.2) -> slice | None:
-    """Longest run of grid points whose local log-log slopes vary < rel_var."""
+def _stable_slope_run(log_r: np.ndarray, log_c: np.ndarray) -> slice | None:
+    """Longest run of 5+ grid points whose local log-log slopes vary by less
+    than 20% of their mean."""
+    min_points, rel_var = 5, 0.2
     slopes = np.diff(log_c) / np.diff(log_r)
     n = slopes.size
     best: slice | None = None

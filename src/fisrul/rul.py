@@ -18,6 +18,9 @@ RHO_FLOOR = 1e-3
 
 INDETERMINATE = math.nan
 
+# Savitzky-Golay polynomial order and frame length of the RUL smoothing.
+SG_ORDER, SG_FRAME = 2, 61
+
 
 def pul_ratio(tau: float, total_life: float) -> float:
     """Past-useful-life ratio tau / total_life, in [0, 1]."""
@@ -28,19 +31,28 @@ def pul_ratio(tau: float, total_life: float) -> float:
     return tau / total_life
 
 
-def rul_from_ratio(rho_hat: float, tau: float, floor: float = RHO_FLOOR) -> float:
-    """Remaining useful life (1/rho - 1) * tau; NaN when rho is below floor
-    or at tau = 0, where the product is 0 whatever the ratio."""
+def rul_from_ratio(rho_hat: float, tau: float) -> float:
+    """Remaining useful life (1/rho - 1) * tau; NaN when rho is below
+    RHO_FLOOR or at tau = 0, where the product is 0 whatever the ratio."""
     if tau < 0:
         raise ValueError(f"tau must be non-negative, got {tau}")
     if rho_hat > 1.0:
         raise ValueError(f"ratio estimate must not exceed 1, got {rho_hat}")
-    if not rho_hat >= floor or tau == 0:  # also catches NaN
+    if not rho_hat >= RHO_FLOOR or tau == 0:  # also catches NaN
         return INDETERMINATE
     return (1.0 / rho_hat - 1.0) * tau
 
 
-def savitzky_golay(series, order: int = 2, frame: int = 61) -> np.ndarray:
+def check_filter(order: int, frame: int) -> None:
+    """ConfigError unless the frame length is odd and 0 <= order < frame."""
+    if frame % 2 == 0:
+        raise ConfigError(f"filter frame length must be odd, got {frame}")
+    if not 0 <= order < frame:
+        raise ConfigError(f"polynomial order must satisfy 0 <= order < frame "
+                          f"({frame}), got {order}")
+
+
+def savitzky_golay(series, order: int = SG_ORDER, frame: int = SG_FRAME) -> np.ndarray:
     """Least-squares polynomial smoothing over a centered frame.
 
     Each point takes the degree-``order`` least-squares polynomial over its
@@ -51,10 +63,7 @@ def savitzky_golay(series, order: int = 2, frame: int = 61) -> np.ndarray:
     equals the input length.  Series shorter than the frame pass through
     unchanged with a warning.
     """
-    if frame % 2 == 0:
-        raise ConfigError(f"filter frame length must be odd, got {frame}")
-    if frame <= order:
-        raise ConfigError(f"frame ({frame}) must exceed polynomial order ({order})")
+    check_filter(order, frame)
     x = np.asarray(series, dtype=float)
     if x.size < frame:
         warnings.warn(
@@ -71,7 +80,7 @@ def savitzky_golay(series, order: int = 2, frame: int = 61) -> np.ndarray:
     return out
 
 
-def smooth_rul(series, order: int = 2, frame: int = 61) -> np.ndarray:
+def smooth_rul(series, order: int = SG_ORDER, frame: int = SG_FRAME) -> np.ndarray:
     """Savitzky-Golay smoothing applied per contiguous finite run.
 
     Indeterminate (NaN) entries stay NaN; each maximal finite run is
@@ -149,8 +158,8 @@ class EvaluationReport:
         return arrmse([b.rrmse for b in self.bearings])
 
 
-def rul_curves(model: TSFISModel, features, taus, sg_order: int = 2,
-               sg_frame: int = 61):
+def rul_curves(model: TSFISModel, features, taus, sg_order: int = SG_ORDER,
+               sg_frame: int = SG_FRAME):
     """``(raw, clamped, rul_hat, smoothed)`` for one bearing's rows: the model
     output, its [0, 1] clamp, the clamp's floored RUL conversion and that
     curve smoothed.  Rows out of time order are rejected."""
@@ -164,7 +173,8 @@ def rul_curves(model: TSFISModel, features, taus, sg_order: int = 2,
 
 
 def evaluate_model(model: TSFISModel, tables, method: str | None = None,
-                   sg_order: int = 2, sg_frame: int = 61) -> EvaluationReport:
+                   sg_order: int = SG_ORDER,
+                   sg_frame: int = SG_FRAME) -> EvaluationReport:
     """Run the model over labeled tables and collect error metrics and curves.
 
     ``tables`` maps bearing ids to labeled TrainingTable objects (any mapping

@@ -674,3 +674,79 @@ class TestMalformedConfig:
         cfg.write_text('{"cluster": {"ra": -1}}')
         assert main(["train", "--train", str(synth_csvs["train_a"]), "--config",
                      str(cfg), "--ra", "0.5", "--out", str(tmp_path / "m.json")]) == 0
+
+
+@pytest.fixture(scope="module")
+def command_lines(tmp_path_factory):
+    """One argument list per command that reads --config, on small inputs."""
+    tmp = tmp_path_factory.mktemp("commands")
+    phm, _ = make_phm_dir(tmp)
+    train, test, model = tmp / "train.csv", tmp / "test.csv", tmp / "m.json"
+    for seed, out in ((0, train), (100, test)):
+        assert main(["synth", "--seed", str(seed), "--out", str(out)]) == 0
+    assert main(["train", "--train", str(train), "--out", str(model)]) == 0
+    return {
+        "features": ["features", "--input", str(phm), "--format", "phm",
+                     "--out", str(tmp / "f.csv")],
+        "train": ["train", "--train", str(train), "--out", str(tmp / "t.json")],
+        "predict": ["predict", "--model", str(model), "--input", str(test),
+                    "--out", str(tmp / "p.csv")],
+        "evaluate": ["evaluate", "--model", str(model), "--test", str(test),
+                     "--out", str(tmp / "e")],
+        "benchmark": ["benchmark", "--train", str(train), "--test", str(test),
+                      "--out", str(tmp / "b.csv")],
+    }
+
+
+class TestOneConfigCheck:
+    """Every command checks the whole --config document the same way."""
+
+    @pytest.mark.parametrize("document, message", [
+        ({"clustr": {"ra": 0.3}}, "unknown section 'clustr'"),
+        ({"cluster": {"ra": "x"}}, "cluster.ra: not a number: 'x'"),
+        ({"filter": {"sg_frame": 60}}, "filter: filter frame length must be odd, got 60"),
+        ({"filter": {"sg_order": -1}}, "filter: polynomial order must satisfy "
+                                       "0 <= order < frame (61), got -1"),
+        ({"features": {"ae_m": 0}}, "features: ae_m must be at least 1, got 0"),
+        ({"features": {"ae_r_tol": 0}}, "features: ae_r_tol must be positive, got 0"),
+        ({"features": {"lle_embed_dim": 0}},
+         "features: lle_embed_dim must be at least 1, got 0"),
+        ({"features": {"cd_embed_dim": 0}},
+         "features: cd_embed_dim must be at least 1, got 0"),
+        ({"features": {"lle_lag": 0}}, "features: lle_lag must be at least 1, got 0"),
+        ({"features": {"cd_lag": 0}}, "features: cd_lag must be at least 1, got 0"),
+        ({"features": {"lle_mean_period": -3}},
+         "features: lle_mean_period must be at least 0, got -3"),
+        ({"features": {"lle_fit_range": [4, 4]}},
+         "features: lle_fit_range must be null or (lo, hi) with 0 <= lo < hi"),
+        ({"features": {"diae_baseline_frac": 1}},
+         "features: diae_baseline_frac must lie in (0, 1), got 1"),
+        ({"features": {"max_points": -600}},
+         "features: max_points must be at least 0, got -600"),
+    ], ids=["unknown-section", "non-numeric-radius", "even-frame", "negative-order",
+            "ae-m", "ae-r-tol", "lle-embed-dim", "cd-embed-dim", "lle-lag", "cd-lag",
+            "lle-mean-period", "lle-fit-range", "diae-baseline-frac", "max-points"])
+    def test_bad_document_fails_every_command_alike(self, document, message,
+                                                    command_lines, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(document))
+        errors = set()
+        for command, argv in command_lines.items():
+            assert main([*argv, "--config", str(cfg)]) == 2, command
+            errors.add(capsys.readouterr().err.strip())
+        assert len(errors) == 1
+        assert errors.pop().startswith(f"error: {cfg}: {message}")
+
+    def test_valid_document_passes_every_command(self, command_lines, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "version": 1, "cluster": {"ra": 0.5, "rb": None},
+            "features": {"max_points": 0, "lle_lag": None, "lle_fit_range": [0, 8]},
+            "filter": {"sg_order": 2, "sg_frame": 11}}))
+        for command, argv in command_lines.items():
+            assert main([*argv, "--config", str(cfg)]) == 0, command
+
+    def test_flag_is_checked_without_a_file(self, command_lines, capsys):
+        assert main([*command_lines["predict"], "--sg-frame", "60"]) == 2
+        assert capsys.readouterr().err.strip() == \
+            "error: filter frame length must be odd, got 60"

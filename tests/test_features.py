@@ -122,6 +122,13 @@ class TestApproximateEntropy:
         expected = brute_force_apen(x, 2, r)
         assert approximate_entropy(make_window(x)) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("kernel", [approximate_entropy, largest_lyapunov,
+                                        correlation_dimension])
+    def test_negative_decimation_cap_rejected(self, rng, kernel):
+        # a negative stride cap would reverse the window
+        with pytest.raises(ValueError, match="max_points must be non-negative, got -600"):
+            kernel(make_window(rng.normal(size=2560)), max_points=-600)
+
     def test_integer_series_with_boundary_ties_matches_brute_force(self):
         # integer samples with r exactly 1.0: many template pairs sit on the
         # <= r boundary, spread over many KD-tree leaves

@@ -12,6 +12,7 @@ from fisrul.errors import ConfigError
 from fisrul.fis import TSFISModel
 from fisrul.rul import (
     arrmse,
+    check_filter,
     evaluate_model,
     pul_ratio,
     rrmse,
@@ -135,6 +136,13 @@ class TestSavitzkyGolay:
     def test_frame_not_above_order_rejected(self):
         with pytest.raises(ConfigError):
             savitzky_golay(np.zeros(100), order=3, frame=3)
+
+    def test_negative_order_rejected(self):
+        # order -1 would smooth every series to zeros
+        with pytest.raises(ConfigError, match="0 <= order < frame"):
+            check_filter(-1, 61)
+        with pytest.raises(ConfigError, match="0 <= order < frame"):
+            savitzky_golay(np.ones(100), order=-1, frame=61)
 
     def test_short_series_passes_through_with_warning(self):
         x = np.arange(10.0)
