@@ -118,7 +118,7 @@ def iter_ims(dir_path, channel: int = 0) -> Iterator[SignalWindow]:
 
     def cell(line: str, path: Path, lineno: int) -> str:
         cells = line.rstrip("\n").split("\t")
-        if channel >= len(cells):
+        if not 0 <= channel < len(cells):
             raise LoadError(
                 f"{path}:{lineno}: channel {channel} out of range ({len(cells)} columns)")
         return cells[channel]

@@ -4,7 +4,10 @@ Six indicators are supported: root mean square (rms), normalized spectral
 entropy (se), approximate entropy (ae), largest Lyapunov exponent (lle),
 correlation dimension (cd) and the degradation index of the approximate
 entropy series (diae).  Every indicator is a pure function of its window and
-parameters, so windows may be processed in parallel in any order.
+settings, so windows may be processed in parallel in any order.  The
+pairwise-distance kernels (ae, lle, cd) are called as ``kernel(window,
+params)``: a ``FeatureParams`` is the one way to set their parameters, and
+its checks are the only ones on them.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,11 +31,9 @@ from .errors import ConfigError
 _KERNELS = {
     "rms": lambda w, p: rms(w),
     "se": lambda w, p: spectral_entropy(w),
-    "ae": lambda w, p: approximate_entropy(w, p.ae_m, p.ae_r_tol, p.max_points),
-    "lle": lambda w, p: largest_lyapunov(w, p.lle_embed_dim, p.lle_lag, p.lle_mean_period,
-                                         p.lle_fit_range, max_points=p.max_points),
-    "cd": lambda w, p: correlation_dimension(w, p.cd_embed_dim, p.cd_lag,
-                                             max_points=p.max_points),
+    "ae": lambda w, p: approximate_entropy(w, p),
+    "lle": lambda w, p: largest_lyapunov(w, p),
+    "cd": lambda w, p: correlation_dimension(w, p),
 }
 FEATURE_NAMES = (*_KERNELS, "diae")  # diae scores the whole ae series
 
@@ -91,17 +93,26 @@ class FeatureParams:
                           ("lle_mean_period", 0), ("cd_embed_dim", 1), ("cd_lag", 1),
                           ("max_points", 0)):
             value = getattr(self, name)
-            if value is not None and not value >= low:
+            if value is None and getattr(FeatureParams, name) is None:
+                continue
+            if not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if not value >= low:
                 raise ValueError(f"{name} must be at least {low}, got {value}")
         if not self.ae_r_tol > 0:
             raise ValueError(f"ae_r_tol must be positive, got {self.ae_r_tol}")
         if not 0 < self.diae_baseline_frac < 1:
             raise ValueError(f"diae_baseline_frac must lie in (0, 1), "
                              f"got {self.diae_baseline_frac}")
-        if self.lle_fit_range is not None and not (
-                0 <= self.lle_fit_range[0] < self.lle_fit_range[1]):
+        fit = self.lle_fit_range
+        if fit is not None and not (len(fit) == 2 and all(
+                isinstance(v, Integral) for v in fit) and 0 <= fit[0] < fit[1]):
             raise ValueError(f"lle_fit_range must be null or (lo, hi) with "
-                             f"0 <= lo < hi, got {self.lle_fit_range}")
+                             f"0 <= lo < hi, both integers, got {fit}")
+
+
+# The settings a kernel uses when called without its own FeatureParams.
+DEFAULT_PARAMS = FeatureParams()
 
 
 def _samples(window) -> np.ndarray:
@@ -119,8 +130,6 @@ def _samples(window) -> np.ndarray:
 def _decimate(x: np.ndarray, max_points: int) -> np.ndarray:
     """Deterministic stride subsampling used by the pairwise-distance
     features; a cap of 0 keeps every sample."""
-    if max_points < 0:
-        raise ValueError(f"max_points must be non-negative, got {max_points}")
     if max_points and x.size > max_points:
         stride = math.ceil(x.size / max_points)
         return x[::stride]
@@ -166,25 +175,22 @@ def _apen_phi(x: np.ndarray, m: int, r: float) -> float:
     return float(np.mean(np.log(matches / count)))
 
 
-def approximate_entropy(window, m: int = 2, r_tol: float = 0.2,
-                        max_points: int = MAX_PAIRWISE_POINTS) -> float:
-    """Approximate entropy ApEn(m, r) with r = ``r_tol`` times the window std.
+def approximate_entropy(window, params: FeatureParams = DEFAULT_PARAMS) -> float:
+    """Approximate entropy ApEn(m, r) with m = ``params.ae_m`` and r =
+    ``params.ae_r_tol`` times the window std.
 
     Uses the standard formulation: phi(m) - phi(m+1) with self-matches
     included and Chebyshev distance between templates.  A constant window is
     perfectly regular and returns 0.
     """
-    x = _decimate(_samples(window), max_points)
-    if r_tol <= 0:
-        raise ValueError(f"r_tol must be positive, got {r_tol}")
-    if m < 1:
-        raise ValueError(f"embedding dimension must be >= 1, got {m}")
+    x = _decimate(_samples(window), params.max_points)
+    m = params.ae_m
     if x.size <= m + 1:
         raise ValueError(f"window too short for ApEn(m={m}): {x.size} samples")
     sd = float(np.std(x))
     if sd == 0.0:
         return 0.0
-    r = r_tol * sd
+    r = params.ae_r_tol * sd
     return _apen_phi(x, m, r) - _apen_phi(x, m + 1, r)
 
 
@@ -272,24 +278,24 @@ def _theiler_neighbors(points: np.ndarray, mean_period: int) -> np.ndarray:
     return nn
 
 
-def largest_lyapunov(window, embed_dim: int = 5, embed_lag: int | None = None,
-                     mean_period: int | None = None,
-                     fit_range: tuple[int, int] | None = None,
-                     max_points: int = MAX_PAIRWISE_POINTS) -> float:
+def largest_lyapunov(window, params: FeatureParams = DEFAULT_PARAMS) -> float:
     """Largest Lyapunov exponent per sample step, Rosenstein's method.
 
-    Each embedded point is paired with its nearest neighbor at least
-    ``mean_period`` steps away in time; the slope of the mean log divergence
-    of those pairs over ``fit_range`` estimates the exponent.  Defaults: lag
-    at the first autocorrelation minimum, mean period from the PSD mean
-    frequency, fit over the first third of the divergence curve.
+    The window is delay-embedded in ``params.lle_embed_dim`` dimensions at
+    lag ``params.lle_lag``.  Each embedded point is paired with its nearest
+    neighbor more than ``params.lle_mean_period`` steps away in time; the
+    slope of the mean log divergence of those pairs over
+    ``params.lle_fit_range`` estimates the exponent.  A null setting is
+    estimated: lag at the first autocorrelation minimum, mean period from the
+    PSD mean frequency, fit over the first third of the divergence curve.
     """
-    x = _decimate(_samples(window), max_points)
-    lag = embed_lag if embed_lag is not None else _first_acf_minimum(x)
-    points = _embed(x, embed_dim, lag)
+    x = _decimate(_samples(window), params.max_points)
+    lag = params.lle_lag if params.lle_lag is not None else _first_acf_minimum(x)
+    points = _embed(x, params.lle_embed_dim, lag)
     m = points.shape[0]
     if m < 10:
         raise ValueError(f"too few embedded points for divergence tracking: {m}")
+    mean_period = params.lle_mean_period
     if mean_period is None:
         mean_period = _mean_period(x)
 
@@ -310,6 +316,7 @@ def largest_lyapunov(window, embed_dim: int = 5, embed_lag: int | None = None,
         else:
             coincident[k] = True
 
+    fit_range = params.lle_fit_range
     if fit_range is None:
         fit_range = (0, max(2, n_steps // 3))
     lo, hi = fit_range
@@ -346,34 +353,31 @@ def _stable_slope_run(log_r: np.ndarray, log_c: np.ndarray) -> slice | None:
     return best
 
 
-def correlation_dimension(window, embed_dim: int = 5, embed_lag: int | None = None,
-                          radius_grid: np.ndarray | None = None,
-                          max_points: int = MAX_PAIRWISE_POINTS) -> float:
+def correlation_dimension(window, params: FeatureParams = DEFAULT_PARAMS) -> float:
     """Correlation dimension via the Grassberger-Procaccia correlation sum.
 
-    C(r) is the fraction of embedded point pairs closer than r, evaluated on
-    a log-spaced radius grid between the 2nd and 98th percentile of pairwise
+    The window is delay-embedded in ``params.cd_embed_dim`` dimensions at
+    lag ``params.cd_lag`` (null: the first autocorrelation minimum).  C(r) is
+    the fraction of embedded point pairs closer than r, evaluated on a
+    log-spaced radius grid between the 2nd and 98th percentile of pairwise
     distances; the dimension is the log-log slope fitted over the longest
     stable linear region (5+ grid points with local slopes within 20%).
     A degenerate (constant) window returns 0.
     """
     from scipy.spatial.distance import pdist
 
-    x = _decimate(_samples(window), max_points)
+    x = _decimate(_samples(window), params.max_points)
     if np.ptp(x) == 0.0:
         return 0.0
-    lag = embed_lag if embed_lag is not None else _first_acf_minimum(x)
-    points = _embed(x, embed_dim, lag)
+    lag = params.cd_lag if params.cd_lag is not None else _first_acf_minimum(x)
+    points = _embed(x, params.cd_embed_dim, lag)
     dists = pdist(points)
     dists = dists[dists > 0.0]
     if dists.size == 0:
         return 0.0
-    if radius_grid is None:
-        lo, hi = np.percentile(dists, [2.0, 98.0])
-        lo = max(lo, hi * 1e-12)
-        radius_grid = np.geomspace(lo, hi, 20)
-    else:
-        radius_grid = np.asarray(radius_grid, dtype=float)
+    lo, hi = np.percentile(dists, [2.0, 98.0])
+    lo = max(lo, hi * 1e-12)
+    radius_grid = np.geomspace(lo, hi, 20)
     corr = np.array([np.count_nonzero(dists < r) for r in radius_grid]) / dists.size
     valid = corr > 0.0
     if np.count_nonzero(valid) < 2:
@@ -438,7 +442,7 @@ def extract_features(windows: Iterable[SignalWindow], feature_set: Iterable[str]
     names = normalize_feature_names(feature_set)
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be at least 1, got {n_jobs}")
-    params = params or FeatureParams()
+    params = params or DEFAULT_PARAMS
     base_names = tuple(n for n in names if n != "diae")
     if "diae" in names and "ae" not in base_names:
         base_names = base_names + ("ae",)

@@ -111,9 +111,17 @@ class Estimate(NamedTuple):
 
 
 def _estimates(model: TSFISModel, x: np.ndarray, taus) -> np.ndarray:
-    """Raw estimates for the rows of a K x I float matrix: the one firing
-    path behind both infer and predict_table."""
+    """Raw estimates for the rows of a K x I float matrix, I the model's
+    feature count; a weighted model needs the K observation times.  The one
+    firing path, and the one shape check, behind both infer and predict_table."""
+    if x.ndim != 2 or x.shape[1] != model.n_features:
+        raise ValueError(f"expected K x {model.n_features} feature values, "
+                         f"got shape {x.shape}")
     if model.time_params is not None:
+        taus = np.asarray(taus, dtype=float)  # None (no times) has shape ()
+        if taus.shape != (x.shape[0],):
+            raise ValueError(f"weighted model requires one observation time per "
+                             f"row: expected shape ({x.shape[0]},), got {taus.shape}")
         w = weighted_firing_matrix(x, taus, model.centers, model.sigmas,
                                    model.time_params)
     else:
@@ -128,20 +136,14 @@ def infer(model: TSFISModel, values, tau: float | None = None) -> Estimate:
     Weighted models additionally weight each rule by its prior and by the
     time membership of the observation, so ``tau`` must be provided.
     """
-    v = np.asarray(values, dtype=float)
-    if v.size != model.n_features:
-        raise ValueError(
-            f"expected {model.n_features} feature values, got {v.size}")
-    if model.variant == "weighted" and tau is None:
-        raise ValueError("weighted model requires the observation time tau")
-    raw = float(_estimates(model, v.reshape(1, -1), [tau])[0])
+    v = np.asarray(values, dtype=float).reshape(1, -1)
+    raw = float(_estimates(model, v, None if tau is None else [tau])[0])
     return Estimate(raw, min(max(raw, 0.0), 1.0))
 
 
 def predict_table(model: TSFISModel, features, taus=None) -> np.ndarray:
-    """Raw ratio estimates for every row of a feature matrix."""
-    if model.variant == "weighted" and taus is None:
-        raise ValueError("weighted model requires observation times")
+    """Raw ratio estimates for every row of a K x I feature matrix; a
+    weighted model needs the K observation times ``taus``."""
     return _estimates(model, np.atleast_2d(np.asarray(features, dtype=float)), taus)
 
 

@@ -162,6 +162,17 @@ class TestTablePath:
         self.assert_same_table(
             extract_features(iter_ims(root, 1), ["rms", "se"], labeled=True), out)
 
+    @pytest.mark.parametrize("channel", ["-1", "-5"])
+    def test_ims_negative_channel_rejected(self, tmp_path, capsys, channel):
+        root, _ = make_ims_dir(tmp_path, ["2003.10.22.12.06.24"])
+        out = tmp_path / "features.csv"
+        assert main(["features", "--input", str(root), "--format", "ims",
+                     "--channel", channel, "--features", "rms", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == (
+            f"error: {root / '2003.10.22.12.06.24'}:1: channel {channel} out of range "
+            "(4 columns)")
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_weighted_training_reports_rules(self, synth_csvs, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Dataset loaders (desk-scale fixtures) and the synthetic generator."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,15 @@ class TestLoadIms:
         root, _ = make_ims_dir(tmp_path, stamps, n_channels=2)
         with pytest.raises(LoadError, match="channel"):
             list(iter_ims(root, channel=5))
+
+    @pytest.mark.parametrize("channel", [-1, -5])
+    def test_negative_channel_rejected(self, tmp_path, channel):
+        # -1 would otherwise read the last column, -5 index past the first
+        root, _ = make_ims_dir(tmp_path, ["2003.10.22.12.06.24"])
+        path = re.escape(str(root / "2003.10.22.12.06.24"))
+        with pytest.raises(LoadError, match=rf"^{path}:1: channel {channel} out of "
+                                            r"range \(4 columns\)$"):
+            list(iter_ims(root, channel=channel))
 
     def test_non_monotone_timestamps_rejected(self, tmp_path):
         # lexicographic order '2003.10...' < '2003.2...' inverts chronology

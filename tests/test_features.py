@@ -33,6 +33,49 @@ def make_window(samples, rate=25600.0, index=1, timestamp=0.0):
     return SignalWindow(np.asarray(samples, dtype=float), rate, index, timestamp)
 
 
+class TestFeatureParams:
+    """Every kernel setting is checked once, when its FeatureParams is built."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("ae_m", 0, "ae_m must be at least 1, got 0"),
+        ("ae_m", 2.0, "ae_m must be an integer, got 2.0"),
+        ("ae_m", None, "ae_m must be an integer, got None"),
+        ("ae_r_tol", 0, "ae_r_tol must be positive, got 0"),
+        ("lle_embed_dim", 0, "lle_embed_dim must be at least 1, got 0"),
+        ("lle_embed_dim", 5.0, "lle_embed_dim must be an integer, got 5.0"),
+        ("lle_lag", 0, "lle_lag must be at least 1, got 0"),
+        ("lle_lag", 2.5, "lle_lag must be an integer, got 2.5"),
+        ("lle_mean_period", -3, "lle_mean_period must be at least 0, got -3"),
+        ("lle_mean_period", 1.5, "lle_mean_period must be an integer, got 1.5"),
+        ("lle_fit_range", (4, 4), "lle_fit_range must be null or (lo, hi) with 0 <= lo < hi"),
+        ("lle_fit_range", (-1, 4), "lle_fit_range must be null or (lo, hi)"),
+        ("lle_fit_range", (0.5, 6), "lle_fit_range must be null or (lo, hi)"),
+        ("lle_fit_range", (0, 4, 8), "lle_fit_range must be null or (lo, hi)"),
+        ("cd_embed_dim", 0, "cd_embed_dim must be at least 1, got 0"),
+        ("cd_embed_dim", "5", "cd_embed_dim must be an integer, got '5'"),
+        ("cd_lag", 0, "cd_lag must be at least 1, got 0"),
+        ("cd_lag", 1.0, "cd_lag must be an integer, got 1.0"),
+        ("diae_baseline_frac", 1, "diae_baseline_frac must lie in (0, 1), got 1"),
+        # a negative stride cap would reverse the window
+        ("max_points", -600, "max_points must be at least 0, got -600"),
+        ("max_points", 600.0, "max_points must be an integer, got 600.0"),
+    ], ids=["ae-m-zero", "ae-m-float", "ae-m-null", "ae-r-tol-zero", "lle-embed-dim-zero",
+            "lle-embed-dim-float", "lle-lag-zero", "lle-lag-float", "lle-mean-period-negative",
+            "lle-mean-period-float", "lle-fit-range-empty", "lle-fit-range-negative",
+            "lle-fit-range-float", "lle-fit-range-triple", "cd-embed-dim-zero",
+            "cd-embed-dim-string", "cd-lag-zero", "cd-lag-float", "diae-baseline-frac-one",
+            "max-points-negative", "max-points-float"])
+    def test_bad_value_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FeatureParams(**{field: value})
+
+    def test_null_zero_and_numpy_integer_settings_accepted(self):
+        p = FeatureParams(ae_m=np.int64(3), lle_lag=None, lle_mean_period=0,
+                          lle_fit_range=(np.int32(0), np.int32(6)), cd_lag=None,
+                          max_points=0)
+        assert (p.ae_m, p.lle_mean_period, p.max_points) == (3, 0, 0)
+
+
 class TestRms:
     def test_constant_signal(self):
         assert rms(make_window(np.full(100, 2.0))) == pytest.approx(2.0)
@@ -113,8 +156,8 @@ class TestApproximateEntropy:
         x = np.tile([1.0, 3.0], 24)  # period 2, 48 samples
         r = 0.2 * float(np.std(x))
         expected = brute_force_apen(x, 2, r)
-        assert approximate_entropy(make_window(x), m=2, r_tol=0.2) == pytest.approx(
-            expected, abs=1e-12)
+        assert approximate_entropy(make_window(x), FeatureParams(ae_m=2, ae_r_tol=0.2)) \
+            == pytest.approx(expected, abs=1e-12)
 
     def test_random_series_matches_brute_force(self, rng):
         x = rng.normal(size=60)
@@ -125,9 +168,10 @@ class TestApproximateEntropy:
     @pytest.mark.parametrize("kernel", [approximate_entropy, largest_lyapunov,
                                         correlation_dimension])
     def test_negative_decimation_cap_rejected(self, rng, kernel):
-        # a negative stride cap would reverse the window
-        with pytest.raises(ValueError, match="max_points must be non-negative, got -600"):
-            kernel(make_window(rng.normal(size=2560)), max_points=-600)
+        # a negative stride cap would reverse the window; the settings that
+        # carry it to a kernel refuse it before the kernel runs
+        with pytest.raises(ValueError, match="max_points must be at least 0, got -600"):
+            kernel(make_window(rng.normal(size=2560)), FeatureParams(max_points=-600))
 
     def test_integer_series_with_boundary_ties_matches_brute_force(self):
         # integer samples with r exactly 1.0: many template pairs sit on the
@@ -136,8 +180,8 @@ class TestApproximateEntropy:
         r_tol = 1.0 / float(np.std(x))
         assert r_tol * float(np.std(x)) == 1.0
         expected = brute_force_apen(x, 2, 1.0)
-        assert approximate_entropy(make_window(x), m=2, r_tol=r_tol) == pytest.approx(
-            expected, abs=1e-12)
+        assert approximate_entropy(make_window(x), FeatureParams(ae_m=2, ae_r_tol=r_tol)) \
+            == pytest.approx(expected, abs=1e-12)
 
     def test_noise_more_irregular_than_sinusoid(self, rng):
         n = 400
@@ -160,11 +204,7 @@ class TestApproximateEntropy:
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
-            approximate_entropy(make_window([1.0, 2.0, 3.0]), m=2)
-
-    def test_bad_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            approximate_entropy(make_window(np.ones(32)), r_tol=0.0)
+            approximate_entropy(make_window([1.0, 2.0, 3.0]), FeatureParams(ae_m=2))
 
 
 class TestLargestLyapunov:
@@ -179,8 +219,8 @@ class TestLargestLyapunov:
         for i in range(1, x.size):
             x[i] = 4.0 * x[i - 1] * (1.0 - x[i - 1])
         x = x[500:2500]
-        got = largest_lyapunov(make_window(x), embed_dim=2, embed_lag=1,
-                               mean_period=1, fit_range=(0, 6))
+        got = largest_lyapunov(make_window(x), FeatureParams(
+            lle_embed_dim=2, lle_lag=1, lle_mean_period=1, lle_fit_range=(0, 6)))
         assert got == pytest.approx(math.log(2.0), rel=0.15)
 
     def test_white_noise_positive_and_above_sinusoid(self, rng):
@@ -193,12 +233,13 @@ class TestLargestLyapunov:
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
-            largest_lyapunov(make_window(np.arange(12.0)), embed_dim=5, embed_lag=3)
+            largest_lyapunov(make_window(np.arange(12.0)),
+                             FeatureParams(lle_embed_dim=5, lle_lag=3))
 
     def test_empty_theiler_neighborhood_rejected(self, rng):
         with pytest.raises(ValueError, match=r"mean_period=100.*m=36"):
-            largest_lyapunov(make_window(rng.standard_normal(40)), embed_lag=1,
-                             mean_period=100)
+            largest_lyapunov(make_window(rng.standard_normal(40)),
+                             FeatureParams(lle_lag=1, lle_mean_period=100))
 
     def test_coincident_neighbours_named(self):
         # every neighbour of an exactly periodic signal repeats it exactly
@@ -231,12 +272,14 @@ def test_non_finite_samples_rejected(kernel, bad):
 class TestCorrelationDimension:
     def test_line_segment(self):
         x = np.linspace(0.0, 1.0, 600)
-        got = correlation_dimension(make_window(x), embed_dim=2, embed_lag=1)
+        got = correlation_dimension(make_window(x),
+                                    FeatureParams(cd_embed_dim=2, cd_lag=1))
         assert got == pytest.approx(1.0, abs=0.15)
 
     def test_uniform_noise_in_two_dimensions(self, rng):
         x = rng.uniform(0.0, 1.0, 500)
-        got = correlation_dimension(make_window(x), embed_dim=2, embed_lag=1)
+        got = correlation_dimension(make_window(x),
+                                    FeatureParams(cd_embed_dim=2, cd_lag=1))
         assert got == pytest.approx(2.0, abs=0.3)
 
     def test_correlation_sum_matches_brute_force(self, rng):
@@ -250,12 +293,13 @@ class TestCorrelationDimension:
                 dists.append(math.hypot(points[i][0] - points[j][0],
                                         points[i][1] - points[j][1]))
         dists = [d for d in dists if d > 0]
+        # the kernel's own radius grid
         lo, hi = np.percentile(dists, [2.0, 98.0])
         grid = np.geomspace(lo, hi, 20)
         corr = [sum(d < r for d in dists) / len(dists) for r in grid]
         slopes = np.diff(np.log(corr)) / np.diff(np.log(grid))
-        got = correlation_dimension(make_window(x), embed_dim=2, embed_lag=1,
-                                    radius_grid=grid)
+        got = correlation_dimension(make_window(x),
+                                    FeatureParams(cd_embed_dim=2, cd_lag=1))
         assert slopes.min() - 0.01 <= got <= slopes.max() + 0.01
 
     def test_constant_signal(self):
@@ -339,16 +383,13 @@ class TestExtractFeatures:
                           cd_lag=2, diae_baseline_frac=0.3, max_points=250)
         windows = self.windows(rng, count=12, length=400)
         table = extract_features(windows, order, p)
-        ae = [approximate_entropy(w, p.ae_m, p.ae_r_tol, p.max_points) for w in windows]
+        ae = [approximate_entropy(w, p) for w in windows]
         direct = {
             "rms": lambda: [rms(w) for w in windows],
             "se": lambda: [spectral_entropy(w) for w in windows],
             "ae": lambda: ae,
-            "lle": lambda: [largest_lyapunov(
-                w, p.lle_embed_dim, p.lle_lag, p.lle_mean_period, p.lle_fit_range,
-                max_points=p.max_points) for w in windows],
-            "cd": lambda: [correlation_dimension(
-                w, p.cd_embed_dim, p.cd_lag, max_points=p.max_points) for w in windows],
+            "lle": lambda: [largest_lyapunov(w, p) for w in windows],
+            "cd": lambda: [correlation_dimension(w, p) for w in windows],
             "diae": lambda: degradation_index(ae, 4),  # round(0.3 * 12) rows
         }
         assert table.feature_names == tuple(order)

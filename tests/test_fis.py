@@ -138,6 +138,27 @@ class TestInfer:
                 assert rows[k] == pytest.approx(one.raw, rel=1e-12)
 
 
+    @pytest.mark.parametrize("bad_taus", [
+        lambda taus: None, lambda taus: taus[:1], lambda taus: taus[:, None],
+        lambda taus: taus[:-1],
+    ], ids=["none", "one-tau-for-all-rows", "column", "one-short"])
+    def test_weighted_batch_needs_one_tau_per_row(self, bad_taus):
+        table = synth_bearing(5, noise=0.02)
+        model = identify_weighted(table, subtractive_cluster(table))
+        with pytest.raises(ValueError, match=r"one observation time per row: "
+                                             rf"expected shape \({table.n_rows},\)"):
+            predict_table(model, table.features, bad_taus(table.taus))
+
+    def test_feature_count_checked_for_batch_and_row(self):
+        model = array_model([[0.0, 1.0]], [[0.1, 0.2]], [0.1], [1.0, 2.0])
+        with pytest.raises(ValueError, match=r"expected K x 2 feature values, "
+                                             r"got shape \(4, 3\)"):
+            predict_table(model, np.zeros((4, 3)))
+        with pytest.raises(ValueError, match=r"got shape \(1, 3\)"):
+            infer(model, [0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match=r"got shape \(2, 2, 1\)"):
+            predict_table(model, np.zeros((2, 2, 1)))
+
     @given(seed=st.integers(0, 2**32 - 1), weighted=st.booleans(),
            tau=st.one_of(st.floats(-50.0, 150.0),
                          st.sampled_from([-1e6, 1e6, 1e9])))
