@@ -7,7 +7,9 @@ entropy series (diae).  Every indicator is a pure function of its window and
 settings, so windows may be processed in parallel in any order.  The
 pairwise-distance kernels (ae, lle, cd) are called as ``kernel(window,
 params)``: a ``FeatureParams`` is the one way to set their parameters, and
-its checks are the only ones on them.
+its checks are the only ones on them.  ApEn and the Lyapunov neighbor search
+follow their textbook definitions over row blocks of the full distance
+matrix, so their cost is quadratic in the (decimated) window length.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,11 +43,8 @@ FEATURE_NAMES = (*_KERNELS, "diae")  # diae scores the whole ae series
 # this many samples so 20480-sample windows stay tractable.
 MAX_PAIRWISE_POINTS = 2000
 
-# Relative slack around the first Theiler-valid KD-tree distance.  The tree
-# sums squared differences in its own order, so its distances can differ from
-# the numpy ones in the last few ulps; every hit inside this band is re-scored
-# with the numpy expression before the nearest neighbor is chosen.
-_NN_REL_BAND = 1e-9
+# Byte budget of one row block of a distance matrix (ae, lle).
+_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -99,6 +98,10 @@ class FeatureParams:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if not value >= low:
                 raise ValueError(f"{name} must be at least {low}, got {value}")
+        for name in ("ae_r_tol", "diae_baseline_frac"):
+            value = getattr(self, name)
+            if not isinstance(value, Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not self.ae_r_tol > 0:
             raise ValueError(f"ae_r_tol must be positive, got {self.ae_r_tol}")
         if not 0 < self.diae_baseline_frac < 1:
@@ -162,16 +165,23 @@ def spectral_entropy(window) -> float:
     return float(-np.sum(p * np.log(p)) / math.log(psd.size))
 
 
+def _row_blocks(n: int):
+    """(start, stop) row ranges of an n x n float matrix, each block within
+    ``_BLOCK_BYTES`` (at least one row)."""
+    step = max(1, _BLOCK_BYTES // (8 * n))
+    for start in range(0, n, step):
+        yield start, min(start + step, n)
+
+
 def _apen_phi(x: np.ndarray, m: int, r: float) -> float:
     """Mean log proportion of template matches at length m (self-matches included)."""
-    from scipy.spatial import cKDTree
+    from scipy.spatial.distance import cdist
 
     templates = np.lib.stride_tricks.sliding_window_view(x, m)
     count = templates.shape[0]
-    # Chebyshev ball counts; the tree applies the same |a - b| <= r test per
-    # coordinate, so the counts equal those of the full distance matrix
-    matches = cKDTree(templates).query_ball_point(
-        templates, r, p=np.inf, return_length=True)
+    matches = np.concatenate([
+        np.count_nonzero(cdist(templates[a:b], templates, "chebyshev") <= r, axis=1)
+        for a, b in _row_blocks(count)])
     return float(np.mean(np.log(matches / count)))
 
 
@@ -236,16 +246,12 @@ def _theiler_neighbors(points: np.ndarray, mean_period: int) -> np.ndarray:
     """Index of each point's Euclidean nearest neighbor more than
     ``mean_period`` steps away in time, ties going to the lowest index.
 
-    KD-tree k-nearest queries supply the candidates, starting at
-    ``k = 2*mean_period + 2``, one more than the window holds, so every row
-    has a hit outside it; ``k`` doubles for the rows whose last hit still
-    lies inside the tolerance band (more tied points may follow).
-    The hits within ``_NN_REL_BAND`` of the first valid distance are
-    re-scored as ``np.sqrt(np.sum((a - b) ** 2))``, so the choice equals an
-    argmin over the full distance matrix.  Raises ValueError when the
-    window leaves some point without any neighbor.
+    Each row block of the full distance matrix has its Theiler band
+    ``[i - mean_period, i + mean_period]`` set to infinity before the
+    row-wise argmin.  Raises ValueError when the window leaves some point
+    without any neighbor.
     """
-    from scipy.spatial import cKDTree
+    from scipy.spatial.distance import cdist
 
     m = points.shape[0]
     if 2 * mean_period >= m - 1:
@@ -253,28 +259,12 @@ def _theiler_neighbors(points: np.ndarray, mean_period: int) -> np.ndarray:
         raise ValueError(
             f"Theiler window mean_period={mean_period} leaves no neighbor for "
             f"some of the m={m} embedded points (need 2*mean_period < m-1)")
-    tree = cKDTree(points)
     nn = np.empty(m, dtype=np.intp)
-    todo = np.arange(m)
-    k = max(2, 2 * mean_period + 2)
-    while todo.size:
-        k = min(k, m)
-        dist, hits = tree.query(points[todo], k=k)
-        valid = np.abs(hits - todo[:, None]) > mean_period
-        first = dist[np.arange(todo.size), valid.argmax(axis=1)]
-        limit = first * (1.0 + _NN_REL_BAND)
-        done = (dist[:, -1] > limit) | (k == m)
-        rows, cols = np.nonzero(valid[done] & (dist[done] <= limit[done, None]))
-        owner = todo[done][rows]
-        cand = hits[done][rows, cols]
-        exact = np.sqrt(np.sum((points[owner] - points[cand]) ** 2, axis=1))
-        # owner is sorted: per-owner minimum, then the lowest tied index
-        starts = np.flatnonzero(np.diff(owner, prepend=-1))
-        best = np.minimum.reduceat(exact, starts)
-        tied = exact == np.repeat(best, np.diff(starts, append=owner.size))
-        nn[owner[starts]] = np.minimum.reduceat(np.where(tied, cand, m), starts)
-        todo = todo[~done]
-        k *= 2
+    for a, b in _row_blocks(m):
+        dist = cdist(points[a:b], points)
+        for i in range(a, b):
+            dist[i - a, max(0, i - mean_period):i + mean_period + 1] = np.inf
+        nn[a:b] = dist.argmin(axis=1)
     return nn
 
 

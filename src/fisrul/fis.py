@@ -113,15 +113,20 @@ class Estimate(NamedTuple):
 def _estimates(model: TSFISModel, x: np.ndarray, taus) -> np.ndarray:
     """Raw estimates for the rows of a K x I float matrix, I the model's
     feature count; a weighted model needs the K observation times.  The one
-    firing path, and the one shape check, behind both infer and predict_table."""
+    firing path, and the one input check (shape and finiteness), behind both
+    infer and predict_table."""
     if x.ndim != 2 or x.shape[1] != model.n_features:
         raise ValueError(f"expected K x {model.n_features} feature values, "
                          f"got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("feature values must be finite (no NaN or infinity)")
     if model.time_params is not None:
         taus = np.asarray(taus, dtype=float)  # None (no times) has shape ()
         if taus.shape != (x.shape[0],):
             raise ValueError(f"weighted model requires one observation time per "
                              f"row: expected shape ({x.shape[0]},), got {taus.shape}")
+        if not np.isfinite(taus).all():
+            raise ValueError("observation times must be finite (no NaN or infinity)")
         w = weighted_firing_matrix(x, taus, model.centers, model.sigmas,
                                    model.time_params)
     else:

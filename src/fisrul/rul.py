@@ -177,13 +177,11 @@ def evaluate_model(model: TSFISModel, tables, method: str | None = None,
                    sg_frame: int = SG_FRAME) -> EvaluationReport:
     """Run the model over labeled tables and collect error metrics and curves.
 
-    ``tables`` maps bearing ids to labeled TrainingTable objects (any mapping
-    or iterable of (id, table) pairs).  The error metric uses the raw model
-    output; the RUL curves are those of rul_curves.
+    ``tables`` maps bearing ids to labeled TrainingTable objects.  The error
+    metric uses the raw model output; the RUL curves are those of rul_curves.
     """
-    items = tables.items() if hasattr(tables, "items") else tables
     evaluations = []
-    for bearing_id, table in items:
+    for bearing_id, table in tables.items():
         if table.rho is None:
             raise ValueError(f"bearing {bearing_id}: evaluation needs labeled rows")
         if table.taus is None:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fisrul import features
 from fisrul.clustering import TrainingTable
 from fisrul.errors import ConfigError
 from fisrul.features import (
@@ -41,6 +42,9 @@ class TestFeatureParams:
         ("ae_m", 2.0, "ae_m must be an integer, got 2.0"),
         ("ae_m", None, "ae_m must be an integer, got None"),
         ("ae_r_tol", 0, "ae_r_tol must be positive, got 0"),
+        # an infinite tolerance would make every template match: ApEn 0
+        ("ae_r_tol", math.inf, "ae_r_tol must be a finite number, got inf"),
+        ("ae_r_tol", "x", "ae_r_tol must be a finite number, got 'x'"),
         ("lle_embed_dim", 0, "lle_embed_dim must be at least 1, got 0"),
         ("lle_embed_dim", 5.0, "lle_embed_dim must be an integer, got 5.0"),
         ("lle_lag", 0, "lle_lag must be at least 1, got 0"),
@@ -56,15 +60,18 @@ class TestFeatureParams:
         ("cd_lag", 0, "cd_lag must be at least 1, got 0"),
         ("cd_lag", 1.0, "cd_lag must be an integer, got 1.0"),
         ("diae_baseline_frac", 1, "diae_baseline_frac must lie in (0, 1), got 1"),
+        ("diae_baseline_frac", "0.1", "diae_baseline_frac must be a finite number, "
+                                      "got '0.1'"),
         # a negative stride cap would reverse the window
         ("max_points", -600, "max_points must be at least 0, got -600"),
         ("max_points", 600.0, "max_points must be an integer, got 600.0"),
-    ], ids=["ae-m-zero", "ae-m-float", "ae-m-null", "ae-r-tol-zero", "lle-embed-dim-zero",
+    ], ids=["ae-m-zero", "ae-m-float", "ae-m-null", "ae-r-tol-zero", "ae-r-tol-inf",
+            "ae-r-tol-string", "lle-embed-dim-zero",
             "lle-embed-dim-float", "lle-lag-zero", "lle-lag-float", "lle-mean-period-negative",
             "lle-mean-period-float", "lle-fit-range-empty", "lle-fit-range-negative",
             "lle-fit-range-float", "lle-fit-range-triple", "cd-embed-dim-zero",
             "cd-embed-dim-string", "cd-lag-zero", "cd-lag-float", "diae-baseline-frac-one",
-            "max-points-negative", "max-points-float"])
+            "diae-baseline-frac-string", "max-points-negative", "max-points-float"])
     def test_bad_value_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             FeatureParams(**{field: value})
@@ -175,7 +182,7 @@ class TestApproximateEntropy:
 
     def test_integer_series_with_boundary_ties_matches_brute_force(self):
         # integer samples with r exactly 1.0: many template pairs sit on the
-        # <= r boundary, spread over many KD-tree leaves
+        # <= r boundary
         x = np.random.default_rng(3).integers(0, 5, 400).astype(float)
         r_tol = 1.0 / float(np.std(x))
         assert r_tol * float(np.std(x)) == 1.0
@@ -246,15 +253,30 @@ class TestLargestLyapunov:
         with pytest.raises(ValueError, match="distance 0"):
             largest_lyapunov(make_window(np.tile(np.arange(7.0), 300)))
 
-    @pytest.mark.parametrize("signal", [
-        np.tile(np.arange(7.0), 300),
-        np.random.default_rng(11).integers(0, 4, 2000).astype(float),
-        np.sin(2 * np.pi * np.arange(2000) / 80.0),
-    ], ids=["periodic-integers", "integer-noise", "sinusoid"])
-    def test_theiler_neighbors_match_brute_force(self, signal):
-        points = np.lib.stride_tricks.sliding_window_view(signal, 5)
+    @pytest.mark.parametrize("signal, width", [
+        (np.tile(np.arange(7.0), 300), 5),
+        (np.random.default_rng(11).integers(0, 4, 2000).astype(float), 5),
+        (np.sin(2 * np.pi * np.arange(2000) / 80.0), 5),
+        # up to 7 columns numpy sums the squares in the same order as cdist
+        (np.random.default_rng(12).standard_normal(1500), 7),
+    ], ids=["periodic-integers", "integer-noise", "sinusoid", "gaussian-width-7"])
+    def test_theiler_neighbors_match_brute_force(self, signal, width):
+        points = np.lib.stride_tricks.sliding_window_view(signal, width)
         expected = brute_force_theiler_neighbors(points, 7)
         assert _theiler_neighbors(points, 7).tolist() == expected
+
+
+def test_one_row_distance_blocks_match_brute_force(monkeypatch):
+    # ties and <= r boundaries on integer samples, one distance row per block
+    monkeypatch.setattr(features, "_BLOCK_BYTES", 1)
+    x = np.random.default_rng(5).integers(0, 4, 300).astype(float)
+    r_tol = 1.0 / float(np.std(x))
+    r = r_tol * float(np.std(x))
+    assert approximate_entropy(x, FeatureParams(ae_r_tol=r_tol)) \
+        == pytest.approx(brute_force_apen(x, 2, r), abs=1e-12)
+    points = np.lib.stride_tricks.sliding_window_view(x, 5)
+    assert _theiler_neighbors(points, 3).tolist() \
+        == brute_force_theiler_neighbors(points, 3)
 
 
 @pytest.mark.parametrize("kernel", [rms, spectral_entropy, approximate_entropy,

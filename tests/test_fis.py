@@ -159,6 +159,24 @@ class TestInfer:
         with pytest.raises(ValueError, match=r"got shape \(2, 2, 1\)"):
             predict_table(model, np.zeros((2, 2, 1)))
 
+    @pytest.mark.parametrize("variant", ["baseline", "weighted"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_feature_values_rejected(self, variant, bad):
+        model = single_rule_model(a=[0.1], b=0.5, variant=variant)
+        features = np.array([[0.2], [bad], [0.4]])
+        with pytest.raises(ValueError, match="feature values must be finite"):
+            predict_table(model, features, [10.0, 20.0, 30.0])
+        with pytest.raises(ValueError, match="feature values must be finite"):
+            infer(model, [bad], tau=20.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_weighted_non_finite_times_rejected(self, bad):
+        model = single_rule_model(a=[0.1], b=0.5, variant="weighted")
+        with pytest.raises(ValueError, match="observation times must be finite"):
+            predict_table(model, [[0.2], [0.3], [0.4]], [10.0, bad, 30.0])
+        with pytest.raises(ValueError, match="observation times must be finite"):
+            infer(model, [0.3], tau=bad)
+
     @given(seed=st.integers(0, 2**32 - 1), weighted=st.booleans(),
            tau=st.one_of(st.floats(-50.0, 150.0),
                          st.sampled_from([-1e6, 1e6, 1e9])))
