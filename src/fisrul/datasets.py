@@ -62,6 +62,13 @@ def _read_windows(paths, timestamps, n_rows: int, sample_rate: float,
         yield SignalWindow(samples, sample_rate, index=order + 1, timestamp=timestamp)
 
 
+def _directory(dir_path) -> Path:
+    root = Path(dir_path)
+    if not root.is_dir():
+        raise LoadError(f"{root}: not a directory")
+    return root
+
+
 def _phm_cell(line: str, path: Path, lineno: int) -> str:
     line = line.strip()
     cells = line.split(";") if ";" in line else line.split(",")
@@ -78,7 +85,7 @@ def iter_phm(dir_path) -> Iterator[SignalWindow]:
     (some distributions use ';' instead of ',').  Only the horizontal
     channel is kept; window k sits at tau = 10 (k - 1) seconds.
     """
-    root = Path(dir_path)
+    root = _directory(dir_path)
     names = []
     for entry in sorted(p.name for p in root.glob("acc_*.csv")):
         match = _PHM_NAME.match(entry)
@@ -108,7 +115,7 @@ def iter_ims(dir_path, channel: int = 0) -> Iterator[SignalWindow]:
     tab-separated rows, one sample per row and one column per channel;
     observation times are the timestamp offsets from the first file.
     """
-    root = Path(dir_path)
+    root = _directory(dir_path)
     names = sorted(p.name for p in root.iterdir() if p.is_file())
     if not names:
         raise LoadError(f"{root}: no data files found")
@@ -153,6 +160,8 @@ def synth_bearing(seed: int, regimes: int = 3, lifetime: float = 1200.0,
     """
     if regimes < 1:
         raise ValueError(f"need at least one regime, got {regimes}")
+    if n_obs < 1:
+        raise ValueError(f"n_obs must be at least 1, got {n_obs}")
     if not lifetime > 0:
         raise ValueError(f"lifetime must be positive, got {lifetime}")
     if not 0.0 <= start_frac < 1.0:

@@ -7,9 +7,12 @@ entropy series (diae).  Every indicator is a pure function of its window and
 settings, so windows may be processed in parallel in any order.  The
 pairwise-distance kernels (ae, lle, cd) are called as ``kernel(window,
 params)``: a ``FeatureParams`` is the one way to set their parameters, and
-its checks are the only ones on them.  ApEn and the Lyapunov neighbor search
-follow their textbook definitions over row blocks of the full distance
-matrix, so their cost is quadratic in the (decimated) window length.
+its checks are the only ones on them.  ApEn counts template matches along
+the diagonals of a closeness mask |x_i - x_j| <= r, built in row blocks with
+numpy alone; the Lyapunov neighbor search takes the row-wise argmin over row
+blocks of the full distance matrix; the correlation dimension sorts its
+pairwise distances once and counts C(r) by binary search.  All three cost
+time quadratic in the (decimated) window length.
 """
 
 from __future__ import annotations
@@ -173,18 +176,6 @@ def _row_blocks(n: int):
         yield start, min(start + step, n)
 
 
-def _apen_phi(x: np.ndarray, m: int, r: float) -> float:
-    """Mean log proportion of template matches at length m (self-matches included)."""
-    from scipy.spatial.distance import cdist
-
-    templates = np.lib.stride_tricks.sliding_window_view(x, m)
-    count = templates.shape[0]
-    matches = np.concatenate([
-        np.count_nonzero(cdist(templates[a:b], templates, "chebyshev") <= r, axis=1)
-        for a, b in _row_blocks(count)])
-    return float(np.mean(np.log(matches / count)))
-
-
 def approximate_entropy(window, params: FeatureParams = DEFAULT_PARAMS) -> float:
     """Approximate entropy ApEn(m, r) with m = ``params.ae_m`` and r =
     ``params.ae_r_tol`` times the window std.
@@ -192,6 +183,12 @@ def approximate_entropy(window, params: FeatureParams = DEFAULT_PARAMS) -> float
     Uses the standard formulation: phi(m) - phi(m+1) with self-matches
     included and Chebyshev distance between templates.  A constant window is
     perfectly regular and returns 0.
+
+    Templates i and j match at length m when |x[i+k] - x[j+k]| <= r for
+    every k < m, i.e. along m consecutive entries of one diagonal of the
+    closeness mask |x_i - x_j| <= r.  The mask is built one row block at a
+    time, with m more rows below the block for the diagonals, so the work
+    is quadratic in the (decimated) window length and the memory is not.
     """
     x = _decimate(_samples(window), params.max_points)
     m = params.ae_m
@@ -201,7 +198,33 @@ def approximate_entropy(window, params: FeatureParams = DEFAULT_PARAMS) -> float
     if sd == 0.0:
         return 0.0
     r = params.ae_r_tol * sd
-    return _apen_phi(x, m, r) - _apen_phi(x, m + 1, r)
+    n = x.size
+    count = n - m + 1  # templates of length m; those of length m+1 are one fewer
+    matches = np.empty(count, dtype=np.intp)
+    longer_matches = np.empty(count - 1, dtype=np.intp)
+    blocks = list(_row_blocks(count))
+    height = min(blocks[0][1] + m, n)
+    diff = np.empty((height, n))
+    close = np.empty((height, n), dtype=bool)
+    match = np.empty((blocks[0][1], count), dtype=bool)
+    for a, b in blocks:
+        stop = min(b + m, n)  # the m rows below the block complete its diagonals
+        d = diff[:stop - a]
+        np.subtract(x[a:stop, None], x, out=d)
+        np.abs(d, out=d)
+        np.less_equal(d, r, out=close[:stop - a])
+        block = match[:b - a]
+        np.copyto(block, close[:b - a, :count])
+        for k in range(1, m):
+            block &= close[k:k + b - a, k:k + count]
+        matches[a:b] = np.count_nonzero(block, axis=1)
+        # the last length-m template has no length-(m+1) extension
+        rows = min(b, count - 1) - a
+        block = block[:rows, :count - 1]
+        block &= close[m:m + rows, m:m + count - 1]
+        longer_matches[a:a + rows] = np.count_nonzero(block, axis=1)
+    return (float(np.mean(np.log(matches / count)))
+            - float(np.mean(np.log(longer_matches / (count - 1)))))
 
 
 def _embed(x: np.ndarray, dim: int, lag: int) -> np.ndarray:
@@ -343,16 +366,32 @@ def _stable_slope_run(log_r: np.ndarray, log_c: np.ndarray) -> slice | None:
     return best
 
 
+def _sorted_percentiles(a: np.ndarray, q) -> np.ndarray:
+    """``np.percentile(a, q)`` of an ascending array, to the bit: numpy's
+    default 'linear' rule read off ``a`` without its copy and partition."""
+    index = (a.size - 1) * (np.asarray(q, dtype=float) / 100)
+    below = np.floor(index)
+    t = index - below
+    lo = a[np.minimum(below, a.size - 1).astype(np.intp)]
+    hi = a[np.minimum(below + 1, a.size - 1).astype(np.intp)]
+    step = hi - lo
+    # numpy's lerp, including its branch that interpolates down from hi
+    return np.where(t >= 0.5, hi - step * (1 - t), lo + step * t)
+
+
 def correlation_dimension(window, params: FeatureParams = DEFAULT_PARAMS) -> float:
     """Correlation dimension via the Grassberger-Procaccia correlation sum.
 
     The window is delay-embedded in ``params.cd_embed_dim`` dimensions at
     lag ``params.cd_lag`` (null: the first autocorrelation minimum).  C(r) is
     the fraction of embedded point pairs closer than r, evaluated on a
-    log-spaced radius grid between the 2nd and 98th percentile of pairwise
-    distances; the dimension is the log-log slope fitted over the longest
-    stable linear region (5+ grid points with local slopes within 20%).
-    A degenerate (constant) window returns 0.
+    log-spaced radius grid between the 2nd and 98th percentile of the
+    nonzero pairwise distances; the dimension is the log-log slope fitted
+    over the longest stable linear region (5+ grid points with local slopes
+    within 20%).  A degenerate (constant) window returns 0.
+
+    The distances are sorted once: the percentiles are read off the sorted
+    array and C(r) is the rank of r in it, found by binary search.
     """
     from scipy.spatial.distance import pdist
 
@@ -362,13 +401,14 @@ def correlation_dimension(window, params: FeatureParams = DEFAULT_PARAMS) -> flo
     lag = params.cd_lag if params.cd_lag is not None else _first_acf_minimum(x)
     points = _embed(x, params.cd_embed_dim, lag)
     dists = pdist(points)
-    dists = dists[dists > 0.0]
+    dists.sort()
+    dists = dists[np.searchsorted(dists, 0.0, "right"):]  # drop coincident pairs
     if dists.size == 0:
         return 0.0
-    lo, hi = np.percentile(dists, [2.0, 98.0])
+    lo, hi = _sorted_percentiles(dists, (2.0, 98.0))
     lo = max(lo, hi * 1e-12)
     radius_grid = np.geomspace(lo, hi, 20)
-    corr = np.array([np.count_nonzero(dists < r) for r in radius_grid]) / dists.size
+    corr = np.searchsorted(dists, radius_grid, side="left") / dists.size
     valid = corr > 0.0
     if np.count_nonzero(valid) < 2:
         return 0.0

@@ -65,6 +65,17 @@ class TestFeaturesCommand:
                      "--format", "phm", "--out", str(tmp_path / "x.csv")])
         assert code == 1
 
+    @pytest.mark.parametrize("fmt", ["phm", "ims"])
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_input_not_a_directory_exits_1(self, tmp_path, capsys, fmt, kind):
+        path = tmp_path / "nope"
+        if kind == "file":
+            path.write_text("1.0\n")
+        code = main(["features", "--input", str(path), "--format", fmt,
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert f"error: {path}: not a directory" in capsys.readouterr().err
+
     def test_non_finite_phm_sample_exits_1(self, tmp_path, capsys):
         root, _ = make_phm_dir(tmp_path)
         path = root / "acc_00002.csv"
@@ -424,6 +435,13 @@ class TestSynthCommand:
         for out in (a, b):
             assert main(["synth", "--seed", "9", "--out", str(out)]) == 0
         assert sha256(a) == sha256(b)
+
+    @pytest.mark.parametrize("n_obs", ["0", "-3"])
+    def test_no_observations_exits_1(self, tmp_path, capsys, n_obs):
+        out = tmp_path / "s.csv"
+        assert main(["synth", "--n-obs", n_obs, "--out", str(out)]) == 1
+        assert f"error: n_obs must be at least 1, got {n_obs}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFullDatasetPath:

@@ -203,3 +203,8 @@ class TestSynthBearing:
             synth_bearing(0, lifetime=0.0)
         with pytest.raises(ValueError):
             synth_bearing(0, start_frac=1.0)
+
+    @pytest.mark.parametrize("n_obs", [0, -3])
+    def test_no_observations_rejected(self, n_obs):
+        with pytest.raises(ValueError, match=f"^n_obs must be at least 1, got {n_obs}$"):
+            synth_bearing(0, n_obs=n_obs)

@@ -2,10 +2,11 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fisrul import features
@@ -14,6 +15,7 @@ from fisrul.errors import ConfigError
 from fisrul.features import (
     FeatureParams,
     SignalWindow,
+    _sorted_percentiles,
     _theiler_neighbors,
     approximate_entropy,
     correlation_dimension,
@@ -213,6 +215,55 @@ class TestApproximateEntropy:
         with pytest.raises(ValueError):
             approximate_entropy(make_window([1.0, 2.0, 3.0]), FeatureParams(ae_m=2))
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("block_rows", [1, 2, -1], ids=[
+        "one-row-blocks", "blocks-shorter-than-halo", "last-block-in-halo"])
+    def test_row_blocks_match_brute_force(self, monkeypatch, m, block_rows):
+        # integer samples with r = 1.0 put many pairs on the <= r boundary;
+        # block_rows -1 leaves the last length-m template, which has no
+        # length-(m+1) extension, alone in the final block
+        x = np.random.default_rng(21).integers(0, 5, 90).astype(float)
+        count = x.size - m + 1
+        rows = count - 1 if block_rows == -1 else block_rows
+        monkeypatch.setattr(features, "_BLOCK_BYTES", rows * 8 * count)
+        assert next(features._row_blocks(count)) == (0, rows)
+        r_tol = 1.0 / float(np.std(x))
+        assert r_tol * float(np.std(x)) == 1.0
+        got = approximate_entropy(x, FeatureParams(ae_m=m, ae_r_tol=r_tol))
+        assert got == pytest.approx(brute_force_apen(x, m, 1.0), abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("x", [
+        np.random.default_rng(22).integers(0, 4, 700).astype(float),
+        np.round(np.random.default_rng(23).normal(size=900), 1),
+        np.sin(np.arange(1200) / 9.0) + 0.2 * np.random.default_rng(24).normal(size=1200),
+        np.tile(np.arange(7.0), 120),
+    ], ids=["integers", "rounded", "sine-plus-noise", "periodic"])
+    def test_bit_identical_to_chebyshev_distance_counts(self, x, m):
+        """Same bits as counting cdist(..., "chebyshev") <= r row by row."""
+        from scipy.spatial.distance import cdist
+
+        def phi(length, r):
+            templates = np.lib.stride_tricks.sliding_window_view(x, length)
+            matches = np.count_nonzero(
+                cdist(templates, templates, "chebyshev") <= r, axis=1)
+            return float(np.mean(np.log(matches / templates.shape[0])))
+
+        r = 0.2 * float(np.std(x))
+        assert approximate_entropy(x, FeatureParams(ae_m=m)) == phi(m, r) - phi(m + 1, r)
+
+    def test_undecimated_window_in_bounded_memory(self):
+        """A full 6000 x 6000 closeness mask alone would take 36 MB."""
+        x = np.random.default_rng(25).standard_normal(6000)
+        tracemalloc.start()
+        try:
+            value = approximate_entropy(x, FeatureParams(max_points=0))
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(value)
+        assert peak_mb < 4
+
 
 class TestLargestLyapunov:
     def test_sinusoid_no_divergence(self):
@@ -326,6 +377,63 @@ class TestCorrelationDimension:
 
     def test_constant_signal(self):
         assert correlation_dimension(make_window(np.full(300, 7.0))) == 0.0
+
+    @pytest.mark.parametrize("x, params, grid_ties", [
+        (np.tile(np.arange(7.0), 200), FeatureParams(), True),
+        (np.repeat(np.random.default_rng(31).normal(size=400), 3), FeatureParams(), True),
+        (np.random.default_rng(32).integers(0, 4, 1500).astype(float),
+         FeatureParams(cd_embed_dim=2, cd_lag=1), True),
+        (np.round(np.random.default_rng(33).normal(size=1200), 1),
+         FeatureParams(cd_embed_dim=2, cd_lag=1), True),
+        (np.sin(np.arange(2560) / 6.0) + 0.3 * np.random.default_rng(34).normal(size=2560),
+         FeatureParams(), False),
+        # two embedded points, both (1, 1): every distance is 0
+        (np.array([1.0, 1.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 1.0, 1.0]),
+         FeatureParams(cd_embed_dim=2, cd_lag=8), False),
+    ], ids=["periodic-zero-distances", "duplicated-samples", "integers", "rounded",
+            "sine-plus-noise", "all-distances-zero"])
+    @pytest.mark.filterwarnings("ignore:no stable scaling region")
+    def test_bit_identical_to_percentile_and_count_formula(self, x, params, grid_ties):
+        """Same bits as the > 0 filter, np.percentile and one count per radius.
+
+        ``grid_ties``: some distance equals a grid radius, where ``<`` and a
+        left binary search must agree.
+        """
+        from scipy.spatial.distance import pdist
+
+        def reference():
+            y = features._decimate(x, params.max_points)
+            lag = params.cd_lag or features._first_acf_minimum(y)
+            dists = pdist(features._embed(y, params.cd_embed_dim, lag))
+            dists = dists[dists > 0.0]
+            if dists.size == 0:
+                return 0.0, 0
+            lo, hi = np.percentile(dists, [2.0, 98.0])
+            grid = np.geomspace(max(lo, hi * 1e-12), hi, 20)
+            corr = np.array([np.count_nonzero(dists < r) for r in grid]) / dists.size
+            valid = corr > 0.0
+            log_r, log_c = np.log(grid[valid]), np.log(corr[valid])
+            run = features._stable_slope_run(log_r, log_c) or slice(0, log_r.size)
+            slope = np.polyfit(log_r[run], log_c[run], 1)[0]
+            return float(slope), np.count_nonzero(np.isin(grid, dists))
+
+        expected, ties = reference()
+        assert (ties > 0) == grid_ties
+        assert correlation_dimension(x, params) == expected
+
+    @given(st.one_of(
+        st.lists(st.floats(1e-5, 1e5), min_size=1, max_size=80),
+        st.lists(st.sampled_from([1e-5, 0.3, 0.3 + 2**-50, 7.0, 1e5]),
+                 min_size=1, max_size=80)))
+    @example([4.2])
+    @example([1e5, 1e-5])
+    @example([0.3] * 50 + [7.0])
+    @example([0.1, 1.21] + [5.0] * 24)  # 26 values: index 0.5, where numpy lerps down
+    @settings(max_examples=200, deadline=None)
+    def test_sorted_percentiles_equal_numpy(self, values):
+        a = np.array(values)
+        np.testing.assert_array_equal(
+            _sorted_percentiles(np.sort(a), (2.0, 98.0)), np.percentile(a, [2.0, 98.0]))
 
 
 class TestDegradationIndex:

@@ -1,8 +1,8 @@
 """Which scipy modules each code path loads, in a fresh interpreter.
 
-scipy is needed only by the pairwise feature kernels (ae, lle, cd), which
-import it on first use; every other path must run without loading it, so
-that a CLI call pays no scipy import cost.
+scipy is needed only by the pairwise-distance feature kernels (lle, cd),
+which import it on first use; every other path, ApEn included, must run
+without loading it, so that a CLI call pays no scipy import cost.
 """
 
 import json
@@ -66,12 +66,13 @@ def scipy_modules(body, tmp_path):
     "import fisrul.cli",
     FLEET_PATH,
     features_path(["rms", "se"]),
-], ids=["cli-import", "fleet-library-path", "rms-se-features"])
+    features_path(["ae"]),
+], ids=["cli-import", "fleet-library-path", "rms-se-features", "ae-feature"])
 def test_path_loads_no_scipy(body, tmp_path):
     assert scipy_modules(body, tmp_path) == []
 
 
 def test_pairwise_kernel_loads_spatial_only(tmp_path):
-    loaded = scipy_modules(features_path(["ae"]), tmp_path)
+    loaded = scipy_modules(features_path(["lle", "cd"]), tmp_path)
     assert "scipy.spatial" in loaded
     assert not any(m.startswith("scipy.signal") for m in loaded)
