@@ -4,13 +4,26 @@ Loaders stream windows one file at a time so full recordings never need to
 sit in memory; `list(iter_phm(path))` materializes one.  The synthetic
 generator emits a feature table directly (no signal level), which is the
 desk-scale stand-in for the multi-GB benchmarks.
+
+Each file is read twice at most.  ``np.loadtxt`` reads every column first
+(no comment character, so ``#`` is not special).  Its table is kept only
+when nothing about it needs the line parser: the row count is the window
+length, the width is one the format allows, every kept sample is finite
+and numpy raised no warning (it warns on an empty file).  Anything else --
+a parse error, ``;``-separated PHM rows, rows of mixed width,
+whitespace-only lines, ``1_0``-style numbers, a short, long or empty file
+-- sends the file to the line parser, which is the one source of every
+``LoadError`` and its ``file:line``.  Both skip empty lines and read the
+same doubles, so the path taken never shows in the samples.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import warnings
 from datetime import datetime
+from numbers import Integral
 from pathlib import Path
 from typing import Iterator
 
@@ -40,25 +53,54 @@ def _parse_float(token: str, path: Path, lineno: int) -> float:
     return value
 
 
+def _parse_lines(path: Path, n_rows: int, token) -> np.ndarray:
+    """The line parser: blank lines are skipped and ``token(line, path,
+    lineno)`` picks the sample cell of every other line, raising LoadError
+    when the line is malformed."""
+    samples = np.empty(n_rows)
+    count = 0
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            cell = token(line, path, lineno)
+            if count >= n_rows:
+                raise LoadError(f"{path}:{lineno}: more than {n_rows} rows")
+            samples[count] = _parse_float(cell, path, lineno)
+            count += 1
+    if count != n_rows:
+        raise LoadError(f"{path}: expected {n_rows} rows, got {count}")
+    return samples
+
+
+def _load_column(path: Path, n_rows: int, delimiter: str, column) -> np.ndarray | None:
+    """The samples of ``path`` as ``np.loadtxt`` reads them, or None when the
+    line parser must read the file.  ``column(width)`` is the sample column
+    of a table ``width`` cells wide, or None when that width is malformed."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            table = np.loadtxt(path, delimiter=delimiter, comments=None, ndmin=2)
+    except (OSError, ValueError):
+        return None
+    if caught or table.shape[0] != n_rows:
+        return None
+    col = column(table.shape[1])
+    if not isinstance(col, Integral):  # None, or a channel the line parser rejects
+        return None
+    samples = table[:, int(col)].copy()
+    return samples if np.isfinite(samples).all() else None
+
+
 def _read_windows(paths, timestamps, n_rows: int, sample_rate: float,
-                  token) -> Iterator[SignalWindow]:
-    """One window of ``n_rows`` samples per file; blank lines are skipped and
-    ``token(line, path, lineno)`` picks the sample cell of every other line,
-    raising LoadError when the line is malformed."""
+                  delimiter: str, column, token) -> Iterator[SignalWindow]:
+    """One window of ``n_rows`` samples per file: ``_load_column(path,
+    n_rows, delimiter, column)`` when it reads the file, else
+    ``_parse_lines(path, n_rows, token)``."""
     for order, (path, timestamp) in enumerate(zip(paths, timestamps)):
-        samples = np.empty(n_rows)
-        count = 0
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                cell = token(line, path, lineno)
-                if count >= n_rows:
-                    raise LoadError(f"{path}:{lineno}: more than {n_rows} rows")
-                samples[count] = _parse_float(cell, path, lineno)
-                count += 1
-        if count != n_rows:
-            raise LoadError(f"{path}: expected {n_rows} rows, got {count}")
+        samples = _load_column(path, n_rows, delimiter, column)
+        if samples is None:
+            samples = _parse_lines(path, n_rows, token)
         yield SignalWindow(samples, sample_rate, index=order + 1, timestamp=timestamp)
 
 
@@ -98,7 +140,8 @@ def iter_phm(dir_path) -> Iterator[SignalWindow]:
         raise LoadError(f"{root}: file indices are not strictly increasing")
     yield from _read_windows([root / name for _, name in names],
                              [PHM_INTERVAL * k for k in range(len(names))],
-                             PHM_WINDOW_LEN, PHM_SAMPLE_RATE, _phm_cell)
+                             PHM_WINDOW_LEN, PHM_SAMPLE_RATE, ",",
+                             lambda width: 4 if width in (5, 6) else None, _phm_cell)
 
 
 def _ims_timestamp(name: str, root: Path) -> datetime:
@@ -132,7 +175,9 @@ def iter_ims(dir_path, channel: int = 0) -> Iterator[SignalWindow]:
 
     yield from _read_windows([root / name for name in names],
                              [(stamp - stamps[0]).total_seconds() for stamp in stamps],
-                             IMS_WINDOW_LEN, IMS_SAMPLE_RATE, cell)
+                             IMS_WINDOW_LEN, IMS_SAMPLE_RATE, "\t",
+                             lambda width: channel if 0 <= channel < width else None,
+                             cell)
 
 
 # Per-regime slope patterns of the synthetic feature trajectories (features
@@ -162,6 +207,8 @@ def synth_bearing(seed: int, regimes: int = 3, lifetime: float = 1200.0,
         raise ValueError(f"need at least one regime, got {regimes}")
     if n_obs < 1:
         raise ValueError(f"n_obs must be at least 1, got {n_obs}")
+    if n_features < 1:
+        raise ValueError(f"n_features must be at least 1, got {n_features}")
     if not lifetime > 0:
         raise ValueError(f"lifetime must be positive, got {lifetime}")
     if not 0.0 <= start_frac < 1.0:

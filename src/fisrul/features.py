@@ -10,9 +10,10 @@ params)``: a ``FeatureParams`` is the one way to set their parameters, and
 its checks are the only ones on them.  ApEn counts template matches along
 the diagonals of a closeness mask |x_i - x_j| <= r, built in row blocks with
 numpy alone; the Lyapunov neighbor search takes the row-wise argmin over row
-blocks of the full distance matrix; the correlation dimension sorts its
-pairwise distances once and counts C(r) by binary search.  All three cost
-time quadratic in the (decimated) window length.
+blocks of the full distance matrix, and its divergence curve comes from one
+gather of every neighbor pair over all steps; the correlation dimension
+sorts its pairwise distances once and counts C(r) by binary search.  All
+three cost time quadratic in the (decimated) window length.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from numbers import Integral, Real
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .clustering import TrainingTable
 from .errors import ConfigError
@@ -291,6 +293,45 @@ def _theiler_neighbors(points: np.ndarray, mean_period: int) -> np.ndarray:
     return nn
 
 
+def _divergence(x: np.ndarray, nn: np.ndarray, dim: int, lag: int,
+                n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean log distance of the pairs (point i, point nn[i]) of
+    ``_embed(x, dim, lag)`` after each of k = 0 .. n_steps-1 steps (NaN once
+    no pair is left), and whether at step k every pair sat at distance 0.
+
+    Pair i counts at step k while both points stay embedded: k < m -
+    max(i, nn[i]).  Every step comes from one gather: row t of ``win`` is
+    x[t : t + span], so column k + c*lag of row i is coordinate c of point
+    i + k.  The squared differences are summed one coordinate at a time, in
+    the order numpy sums a row of fewer than 8 coordinates, so the curve is
+    the same to the bit up to dim 7 and within ulps from dim 8 on.
+    """
+    m = nn.size
+    span = n_steps + (dim - 1) * lag
+    # the padding reaches only steps past the last embedded point
+    win = sliding_window_view(np.concatenate([x, np.zeros(n_steps - 1)]), span)
+    sq = win[nn]
+    np.subtract(win[:m], sq, out=sq)
+    sq *= sq
+    dist = sq[:, :n_steps].copy()
+    for c in range(1, dim):
+        dist += sq[:, c * lag:c * lag + n_steps]
+    np.sqrt(dist, out=dist)
+    steps = m - np.maximum(np.arange(m), nn)  # pair i counts while k < steps[i]
+    divergence = np.full(n_steps, np.nan)
+    coincident = np.zeros(n_steps, dtype=bool)
+    for k in range(n_steps):
+        d = dist[steps > k, k]
+        if not d.size:
+            break
+        d = d[d > 0.0]
+        if d.size:
+            divergence[k] = np.mean(np.log(d))
+        else:
+            coincident[k] = True
+    return divergence, coincident
+
+
 def largest_lyapunov(window, params: FeatureParams = DEFAULT_PARAMS) -> float:
     """Largest Lyapunov exponent per sample step, Rosenstein's method.
 
@@ -313,21 +354,8 @@ def largest_lyapunov(window, params: FeatureParams = DEFAULT_PARAMS) -> float:
         mean_period = _mean_period(x)
 
     nn = _theiler_neighbors(points, mean_period)
-    idx = np.arange(m)
-
     n_steps = max(3, min(50, m // 4))
-    divergence = np.full(n_steps, np.nan)
-    coincident = np.zeros(n_steps, dtype=bool)  # every pair at distance 0
-    for k in range(n_steps):
-        keep = (idx + k < m) & (nn + k < m)
-        if not np.any(keep):
-            break
-        d = np.sqrt(np.sum((points[idx[keep] + k] - points[nn[keep] + k]) ** 2, axis=1))
-        d = d[d > 0.0]
-        if d.size:
-            divergence[k] = np.mean(np.log(d))
-        else:
-            coincident[k] = True
+    divergence, coincident = _divergence(x, nn, params.lle_embed_dim, lag, n_steps)
 
     fit_range = params.lle_fit_range
     if fit_range is None:

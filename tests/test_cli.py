@@ -443,6 +443,14 @@ class TestSynthCommand:
         assert f"error: n_obs must be at least 1, got {n_obs}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_features", ["0", "-2"])
+    def test_no_features_exits_1(self, tmp_path, capsys, n_features):
+        out = tmp_path / "s.csv"
+        assert main(["synth", "--n-features", n_features, "--out", str(out)]) == 1
+        assert (f"error: n_features must be at least 1, got {n_features}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestFullDatasetPath:
     def test_phm_features_train_evaluate(self, tmp_path):

@@ -1,10 +1,17 @@
 """Dataset loaders (desk-scale fixtures) and the synthetic generator."""
 
 import re
+import tempfile
+import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fisrul import datasets
 from fisrul.clustering import subtractive_cluster
 from fisrul.datasets import (
     IMS_WINDOW_LEN,
@@ -169,6 +176,147 @@ class TestLoadIms:
             list(iter_ims(root))
 
 
+# The loader logic does not depend on the window length, so the property
+# tests shrink it to a few rows and each example writes a tiny file.
+SHORT_WINDOW = 6
+
+FINITE_CELL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-5000, 5000).map(lambda milli: "%.3f" % (milli / 1000.0)))
+# cells np.loadtxt refuses, reads as non-finite or must strip first, plus
+# short arbitrary text; the line parser reads some of them ("1_0", " 2.5 ",
+# Arabic-Indic digits) and rejects the rest
+ODD_CELL = st.one_of(
+    st.sampled_from(["nan", "-inf", "Infinity", "1e400", "1_0", "#3", "# 3", "", " ",
+                     "x", " 2.5 ", "+.5", "0x10", "١٢", "1;2", "1\x00", "\x0c1"]),
+    st.text(st.characters(codec="utf-8"), max_size=4))
+JUNK_LINE = st.sampled_from(["", "   ", "\t", " \t ", "# comment", ";", ","])
+
+
+@st.composite
+def signal_text(draw, widths, separators, other_separators):
+    """A window file of SHORT_WINDOW rows or about that many, then up to
+    four mutations: an odd cell, a junk line, a row one cell wider or
+    narrower, a row with another separator."""
+    width = draw(st.sampled_from(widths))
+    n_rows = draw(st.sampled_from([0, SHORT_WINDOW - 1, SHORT_WINDOW + 1]
+                                  + [SHORT_WINDOW] * 5))
+    separator = draw(st.sampled_from(separators))
+    lines = [[separator, [draw(FINITE_CELL) for _ in range(width)]]
+             for _ in range(n_rows)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 4]))):
+        kind = draw(st.sampled_from(["cell", "junk", "width", "separator"]))
+        if kind == "junk" or not lines:
+            lines.insert(draw(st.integers(0, len(lines))), draw(JUNK_LINE))
+            continue
+        line = draw(st.sampled_from([line for line in lines if isinstance(line, list)]
+                                    or [None]))
+        if line is None:
+            continue
+        cells = line[1]
+        if kind == "cell" and cells:
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(ODD_CELL)
+        elif kind == "width":
+            if cells and draw(st.booleans()):
+                cells.pop()
+            else:
+                cells.append(draw(FINITE_CELL))
+        elif kind == "separator":
+            line[0] = draw(st.sampled_from(other_separators))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(line if isinstance(line, str) else line[0].join(line[1])
+                        for line in lines)
+    return text + (newline if lines and draw(st.booleans()) else "")
+
+
+def read_outcome(loader, root, **kwargs):
+    """The sample bytes of every window, or the error type and message."""
+    try:
+        return [w.samples.tobytes() for w in loader(root, **kwargs)]
+    except (LoadError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_reads_like_line_parser(loader, root, **kwargs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = read_outcome(loader, root, **kwargs)
+    assert [str(w.message) for w in caught] == []
+    with mock.patch.object(datasets, "_load_column", lambda *args: None):
+        assert got == read_outcome(loader, root, **kwargs)
+
+
+def read_with_spy(loader, root, **kwargs):
+    """The loader's outcome, and whether any file went to the line parser."""
+    with mock.patch.object(datasets, "_parse_lines",
+                           side_effect=datasets._parse_lines) as spy:
+        return read_outcome(loader, root, **kwargs), spy.called
+
+
+class TestFastPath:
+    """np.loadtxt reads a file only where it reads what the line parser does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=signal_text(widths=[4, 5, 5, 6, 6, 7], separators=[",", ",", ",", ";"],
+                            other_separators=[";", ",", "\t"]))
+    def test_phm_same_as_line_parser(self, text):
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(datasets, "PHM_WINDOW_LEN", SHORT_WINDOW):
+            root = Path(tmp)
+            (root / "acc_00001.csv").write_bytes(text.encode())
+            assert_reads_like_line_parser(iter_phm, root)
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=signal_text(widths=[1, 2, 4, 8], separators=["\t"],
+                            other_separators=[",", " ", "\t\t"]),
+           channel=st.integers(-1, 8))
+    def test_ims_same_as_line_parser(self, text, channel):
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(datasets, "IMS_WINDOW_LEN", SHORT_WINDOW):
+            root = Path(tmp)
+            (root / "2003.10.22.12.06.24").write_bytes(text.encode())
+            assert_reads_like_line_parser(iter_ims, root, channel=channel)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("width", [5, 6])
+    def test_clean_phm_file_skips_line_parser(self, tmp_path, width, newline):
+        values = np.random.default_rng(width).normal(size=PHM_WINDOW_LEN)
+        rows = (",".join(["9", "39", "1", "100", repr(v), "0.01"][:width])
+                for v in values.tolist())
+        (tmp_path / "acc_00001.csv").write_bytes(newline.join(rows).encode())
+        samples, line_parsed = read_with_spy(iter_phm, tmp_path)
+        assert not line_parsed and samples[0] == values.tobytes()
+
+    def test_clean_ims_file_skips_line_parser(self, tmp_path):
+        root, data = make_ims_dir(tmp_path, ["2003.10.22.12.06.24"])
+        samples, line_parsed = read_with_spy(iter_ims, root, channel=3)
+        assert not line_parsed and samples[0] == data[0][:, 3].tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "1;2;3;4;5;6\n" * SHORT_WINDOW,
+        "1,2,3,4,5,6\n   \n" + "1,2,3,4,5,6\n" * (SHORT_WINDOW - 1),
+        "1,2,3,4,5\n" + "1,2,3,4,5,6\n" * (SHORT_WINDOW - 1),
+        "1,2,3,4\n" * SHORT_WINDOW,
+        "1,2,3,4,5,6,7\n" * SHORT_WINDOW,
+        "1,2,3,4,1_0,6\n" * SHORT_WINDOW,
+        "1,2,3,4,nan,6\n" * SHORT_WINDOW,
+        "1,2,3,4,5,6\n" * (SHORT_WINDOW + 1),
+        "# header\n" + "1,2,3,4,5,6\n" * SHORT_WINDOW,
+        "",
+    ], ids=["semicolons", "whitespace-line", "mixed-width", "four-columns",
+            "seven-columns", "underscore", "nan", "long", "comment", "empty"])
+    def test_refused_phm_file_goes_to_line_parser(self, tmp_path, text):
+        (tmp_path / "acc_00001.csv").write_text(text)
+        with mock.patch.object(datasets, "PHM_WINDOW_LEN", SHORT_WINDOW):
+            assert read_with_spy(iter_phm, tmp_path)[1]
+
+    @pytest.mark.parametrize("channel", [-1, 2])
+    def test_out_of_range_ims_channel_goes_to_line_parser(self, tmp_path, channel):
+        (tmp_path / "2003.10.22.12.06.24").write_text("0.1\t0.2\n" * SHORT_WINDOW)
+        with mock.patch.object(datasets, "IMS_WINDOW_LEN", SHORT_WINDOW):
+            assert read_with_spy(iter_ims, tmp_path, channel=channel)[1]
+
+
 class TestSynthBearing:
     def test_same_seed_identical(self):
         a = synth_bearing(42)
@@ -208,3 +356,9 @@ class TestSynthBearing:
     def test_no_observations_rejected(self, n_obs):
         with pytest.raises(ValueError, match=f"^n_obs must be at least 1, got {n_obs}$"):
             synth_bearing(0, n_obs=n_obs)
+
+    @pytest.mark.parametrize("n_features", [0, -2])
+    def test_no_features_rejected(self, n_features):
+        with pytest.raises(ValueError,
+                           match=f"^n_features must be at least 1, got {n_features}$"):
+            synth_bearing(0, n_features=n_features)

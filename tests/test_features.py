@@ -317,6 +317,86 @@ class TestLargestLyapunov:
         assert _theiler_neighbors(points, 7).tolist() == expected
 
 
+def step_loop_divergence(points, nn, n_steps):
+    """The divergence loop `features._divergence` replaced: one gather of the
+    tracked pairs per step.  Kept here as its oracle."""
+    m = points.shape[0]
+    idx = np.arange(m)
+    divergence = np.full(n_steps, np.nan)
+    coincident = np.zeros(n_steps, dtype=bool)
+    for k in range(n_steps):
+        keep = (idx + k < m) & (nn + k < m)
+        if not np.any(keep):
+            break
+        d = np.sqrt(np.sum((points[idx[keep] + k] - points[nn[keep] + k]) ** 2, axis=1))
+        d = d[d > 0.0]
+        if d.size:
+            divergence[k] = np.mean(np.log(d))
+        else:
+            coincident[k] = True
+    return divergence, coincident
+
+
+def vibration_window(seed, n, rate, life, decimals=None):
+    """Carrier, a fault tone growing with ``life`` and rising noise, shaped
+    like the benchmark's PHM and IMS windows."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) / rate
+    x = (0.25 * np.sin(2 * np.pi * 210.0 * t + rng.uniform(0, 2 * np.pi))
+         + (0.02 + 0.6 * life ** 3) * np.sin(2 * np.pi * 2300.0 * t)
+         + 0.05 * (1.0 + 4.0 * life ** 2) * rng.standard_normal(n))
+    return x if decimals is None else np.round(x, decimals)
+
+
+# Past 7 coordinates numpy sums a row with 8-lane partial sums, so the
+# one-coordinate-at-a-time sum may differ from it in the last bits; the mean
+# log distance has moved by at most 8.9e-16 in every case measured.
+DIVERGENCE_ATOL_WIDE = 4e-15
+
+
+class TestDivergenceCurve:
+    """`largest_lyapunov`'s divergence curve against the per-step loop."""
+
+    @pytest.mark.parametrize("x", [
+        vibration_window(1, 2560, 25600.0, 0.6),
+        vibration_window(2, 20480, 20000.0, 1.0, decimals=3),
+    ], ids=["phm", "ims"])
+    @pytest.mark.parametrize("lag", [1, 2, 3])
+    def test_matches_step_loop(self, x, lag):
+        x = features._decimate(x, features.MAX_PAIRWISE_POINTS)
+        period = features._mean_period(x)
+        for dim in range(1, 13):
+            points = features._embed(x, dim, lag)
+            nn = _theiler_neighbors(points, period)
+            n_steps = max(3, min(50, points.shape[0] // 4))
+            got, got_zero = features._divergence(x, nn, dim, lag, n_steps)
+            want, want_zero = step_loop_divergence(points, nn, n_steps)
+            assert got_zero.tolist() == want_zero.tolist()
+            if dim <= 7:
+                assert got.tobytes() == want.tobytes(), dim
+            else:
+                np.testing.assert_allclose(got, want, rtol=0, atol=DIVERGENCE_ATOL_WIDE)
+
+    @pytest.mark.parametrize("lag", [1, 2, 3])
+    def test_coincident_steps_match_step_loop(self, lag):
+        x = np.tile(np.arange(7.0), 300)
+        points = features._embed(x, 5, lag)
+        nn = _theiler_neighbors(points, 3)
+        got, got_zero = features._divergence(x, nn, 5, lag, 50)
+        want, want_zero = step_loop_divergence(points, nn, 50)
+        assert got_zero.all() and got_zero.tolist() == want_zero.tolist()
+        assert got.tobytes() == want.tobytes()
+
+    def test_short_curve_stops_where_pairs_run_out(self, rng):
+        # with n_steps > m no pair is left after the last step any pair reaches
+        x = rng.standard_normal(24)
+        points = features._embed(x, 2, 1)
+        nn = _theiler_neighbors(points, 1)
+        got, _ = features._divergence(x, nn, 2, 1, 30)
+        want, _ = step_loop_divergence(points, nn, 30)
+        assert np.isnan(got[-1]) and got.tobytes() == want.tobytes()
+
+
 def test_one_row_distance_blocks_match_brute_force(monkeypatch):
     # ties and <= r boundaries on integer samples, one distance row per block
     monkeypatch.setattr(features, "_BLOCK_BYTES", 1)
