@@ -94,9 +94,9 @@ def _load_column(path: Path, n_rows: int, delimiter: str, column) -> np.ndarray 
 
 def _read_windows(paths, timestamps, n_rows: int, sample_rate: float,
                   delimiter: str, column, token) -> Iterator[SignalWindow]:
-    """One window of ``n_rows`` samples per file: ``_load_column(path,
-    n_rows, delimiter, column)`` when it reads the file, else
-    ``_parse_lines(path, n_rows, token)``."""
+    """One window of ``n_rows`` samples per file, read by ``np.loadtxt``
+    where it reads the file as the line parser would, else by the line
+    parser."""
     for order, (path, timestamp) in enumerate(zip(paths, timestamps)):
         samples = _load_column(path, n_rows, delimiter, column)
         if samples is None:
