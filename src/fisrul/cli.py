@@ -236,8 +236,7 @@ def cmd_benchmark(args) -> int:
         model = identify(pooled, clusters,
                          _provenance(args.train, settings["cluster"], variant))
         elapsed = time.perf_counter() - start
-        report = evaluate_model(model, test_tables, method=variant,
-                                sg_order=order, sg_frame=frame)
+        report = evaluate_model(model, test_tables, sg_order=order, sg_frame=frame)
         reports.append(report)
         _log(f"{variant}: identified in {elapsed:.4f}s")
         print(f"{variant} arrmse: {report.arrmse:.6f}")

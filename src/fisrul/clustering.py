@@ -9,6 +9,7 @@ ranges.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -112,6 +113,13 @@ class ClusterConfig:
             raise ValueError(f"ra must be positive, got {self.ra}")
         if not self.rb > self.ra:
             raise ValueError(f"rb must exceed ra, got rb={self.rb} ra={self.ra}")
+        for name in ("ra", "rb"):
+            r = getattr(self, name)
+            # r * r overflows to inf where r**2 would raise, and a zero
+            # square is never divided by
+            if not (r * r > 0.0 and 0.0 < 4.0 / (r * r) < math.inf):
+                raise ValueError(f"{name} out of range: 4/{name}^2 must be a finite "
+                                 f"positive number, got {name}={r}")
         if not 0 < self.eps_reject < self.eps_accept <= 1:
             raise ValueError(
                 f"thresholds must satisfy 0 < eps_reject < eps_accept <= 1, "

@@ -592,6 +592,9 @@ def read_feature_csv(path):
         header = next(reader, None)
         if not header or header[0] != "k" or header[1] != "tau" or header[-1] != "rho":
             raise ConfigError(f"{path}: expected header k,tau,<features...>,rho")
+        repeated = [name for i, name in enumerate(header) if name in header[:i]]
+        if repeated:
+            raise ConfigError(f"{path}: repeated column name {repeated[0]!r}")
         names = tuple(header[2:-1])
         if not names:
             raise ConfigError(f"{path}: no feature columns")

@@ -75,6 +75,11 @@ class TSFISModel:
                              f"for {i} feature columns")
         if (self.sigmas <= 0.0).any():
             raise ValueError("membership spreads must be strictly positive")
+        with np.errstate(divide="ignore", over="ignore"):
+            bad = self.sigmas[~np.isfinite(1.0 / self.sigmas**2)]
+        if bad.size:
+            raise ValueError(f"membership spreads must have a finite 1/sigma^2, "
+                             f"got {bad.tolist()}")
         if self.variant not in ("baseline", "weighted"):
             raise ValueError(f"unknown variant {self.variant!r}")
         if (self.variant == "weighted") != (self.time_params is not None):

@@ -40,6 +40,11 @@ class TimeClusterParams:
             raise ValueError(f"priors must sum to 1, got {self.priors.sum()}")
         if (self.variances <= 0.0).any():
             raise ValueError("time variances must be strictly positive")
+        with np.errstate(over="ignore"):
+            bad = self.variances[~np.isfinite(1.0 / (2.0 * self.variances))]
+        if bad.size:
+            raise ValueError(f"time variances must have a finite 1/(2 variance), "
+                             f"got {bad.tolist()}")
 
     @property
     def n_rules(self) -> int:

@@ -172,13 +172,13 @@ def rul_curves(model: TSFISModel, features, taus, sg_order: int = SG_ORDER,
     return raw, clamped, rul_hat, smooth_rul(rul_hat, sg_order, sg_frame)
 
 
-def evaluate_model(model: TSFISModel, tables, method: str | None = None,
-                   sg_order: int = SG_ORDER,
+def evaluate_model(model: TSFISModel, tables, sg_order: int = SG_ORDER,
                    sg_frame: int = SG_FRAME) -> EvaluationReport:
     """Run the model over labeled tables and collect error metrics and curves.
 
     ``tables`` maps bearing ids to labeled TrainingTable objects.  The error
     metric uses the raw model output; the RUL curves are those of rul_curves.
+    The report's method is the model's variant.
     """
     evaluations = []
     for bearing_id, table in tables.items():
@@ -208,7 +208,7 @@ def evaluate_model(model: TSFISModel, tables, method: str | None = None,
         ))
     if not evaluations:
         raise ValueError("no bearings to evaluate")
-    return EvaluationReport(method=method or model.variant, bearings=evaluations)
+    return EvaluationReport(method=model.variant, bearings=evaluations)
 
 
 def write_curves_csv(report: EvaluationReport, path) -> None:

@@ -317,8 +317,13 @@ class TestMalformedInputs:
          "feature_set: expected a list of names, got 'f1f2'"),
         (lambda doc: doc.update(feature_set=["f1"]),
          "feature_set has 1 name(s) for 2 feature columns"),
+        (lambda doc: doc["sigmas"].__setitem__(0, 1e-320),
+         "membership spreads must have a finite 1/sigma^2, got [1e-320]"),
+        (lambda doc: doc["rules"][0].update(time_variance=1e-320),
+         "time variances must have a finite 1/(2 variance), got [1e-320]"),
     ], ids=["missing-key", "wrong-length", "non-numeric", "rule-weight",
-            "feature-set-number", "feature-set-string", "feature-set-too-short"])
+            "feature-set-number", "feature-set-string", "feature-set-too-short",
+            "sigma-reciprocal-overflows", "time-variance-reciprocal-overflows"])
     def test_bad_model_rule_exits_2(self, edit, message, synth_csvs, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         assert main(["train", "--train", str(synth_csvs["train_a"]),
@@ -342,6 +347,17 @@ class TestMalformedInputs:
         code = main(["train", "--train", str(bad), "--out", str(tmp_path / "m.json")])
         assert code == 2
         assert f"error: {bad}:6: column " in capsys.readouterr().err
+
+    def test_repeated_column_name_exits_2(self, synth_csvs, tmp_path, capsys):
+        lines = synth_csvs["train_a"].read_text().splitlines()
+        assert lines[0] == "k,tau,f1,f2,rho"
+        bad = tmp_path / "repeated.csv"
+        bad.write_text("\n".join(["k,tau,f1,f1,rho"] + lines[1:]) + "\n")
+        code = main(["train", "--train", str(bad), "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == \
+            f"error: {bad}: repeated column name 'f1'"
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestResultCells:
@@ -706,6 +722,20 @@ class TestMalformedConfig:
         assert code == 1
         assert "error: ra must be positive, got -1.0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, name, value", [
+        (["--ra", "1e-200"], "ra", "1e-200"),
+        (["--ra", "1e308"], "ra", "1e+308"),
+        (["--rb", "1e300"], "rb", "1e+300"),
+    ], ids=["ra-square-underflows", "ra-square-overflows", "rb-square-overflows"])
+    def test_radius_flag_outside_float_range_exits_1(self, flags, name, value,
+                                                     synth_csvs, tmp_path, capsys):
+        code = main(["train", "--train", str(synth_csvs["train_a"]), *flags,
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert capsys.readouterr().err.strip() == (
+            f"error: {name} out of range: 4/{name}^2 must be a finite positive "
+            f"number, got {name}={value}")
+
     def test_flag_overrides_out_of_range_file_value(self, synth_csvs, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"cluster": {"ra": -1}}')
@@ -741,6 +771,8 @@ class TestOneConfigCheck:
     @pytest.mark.parametrize("document, message", [
         ({"clustr": {"ra": 0.3}}, "unknown section 'clustr'"),
         ({"cluster": {"ra": "x"}}, "cluster.ra: not a number: 'x'"),
+        ({"cluster": {"ra": 1e308}}, "cluster: ra out of range: 4/ra^2 must be a "
+                                     "finite positive number, got ra=1e+308"),
         ({"filter": {"sg_frame": 60}}, "filter: filter frame length must be odd, got 60"),
         ({"filter": {"sg_order": -1}}, "filter: polynomial order must satisfy "
                                        "0 <= order < frame (61), got -1"),
@@ -760,7 +792,8 @@ class TestOneConfigCheck:
          "features: diae_baseline_frac must lie in (0, 1), got 1"),
         ({"features": {"max_points": -600}},
          "features: max_points must be at least 0, got -600"),
-    ], ids=["unknown-section", "non-numeric-radius", "even-frame", "negative-order",
+    ], ids=["unknown-section", "non-numeric-radius", "radius-square-overflows",
+            "even-frame", "negative-order",
             "ae-m", "ae-r-tol", "lle-embed-dim", "cd-embed-dim", "lle-lag", "cd-lag",
             "lle-mean-period", "lle-fit-range", "diae-baseline-frac", "max-points"])
     def test_bad_document_fails_every_command_alike(self, document, message,

@@ -1,6 +1,7 @@
 """Subtractive clustering against the brute-force potential oracle."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,29 @@ class TestClusterConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ClusterConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"ra": 1e-200}, "ra"),          # ra**2 underflows to 0
+        ({"ra": 1e-160}, "ra"),          # 4 / ra**2 overflows
+        ({"ra": 1e308}, "ra"),           # ra**2 overflows
+        ({"ra": 1.2e154}, "rb"),         # the default rb = 1.25 ra: rb**2 overflows
+        ({"ra": 0.5, "rb": 1e300}, "rb"),
+    ])
+    def test_radius_outside_float_range_named(self, kwargs, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^{name} out of range: "
+                                                 rf"4/{name}\^2 must be a finite"
+                               ) as caught:
+                ClusterConfig(**kwargs)
+        assert caught.value.__context__ is None  # no arithmetic error on the way
+
+    @pytest.mark.parametrize("ra", [1e-150, 1e150])
+    def test_extreme_radii_in_float_range_cluster(self, ra, rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clusters = subtractive_cluster(two_group_table(rng), ClusterConfig(ra=ra))
+        assert clusters.n_rules >= 1
 
 
 class TestTrainingTable:

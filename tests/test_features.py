@@ -679,6 +679,17 @@ class TestReadFeatureCsv:
         with pytest.raises(ConfigError, match=rf"{re.escape(str(path))}:3: column 'tau': non-finite"):
             read_feature_csv(path)
 
+    @pytest.mark.parametrize("header, name", [
+        ("k,tau,f1,f1,rho", "f1"),
+        ("k,tau,f1,tau,rho", "tau"),
+    ])
+    def test_repeated_column_name_rejected(self, tmp_path, header, name):
+        path = tmp_path / "table.csv"
+        path.write_text(header + "\n1,10.0,0.5,0.2,0.1\n")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: "
+                                              rf"repeated column name '{name}'$"):
+            read_feature_csv(path)
+
     def test_empty_rho_allowed(self, tmp_path):
         table = read_feature_csv(self.write(tmp_path, ["1,10.0,0.5,0.2,",
                                                        "2,20.0,0.6,0.3,"]))

@@ -208,6 +208,23 @@ class TestInfer:
             TSFISModel(**arrays, time_params=None, feature_set=("f1",),
                        variant="baseline")
 
+    @pytest.mark.parametrize("sigma", [1e-320, 1e-160, math.nan])
+    def test_spread_with_infinite_reciprocal_square_rejected(self, sigma):
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            with pytest.raises(ValueError, match=r"finite 1/sigma\^2, got \["):
+                single_rule_model([0.0], 0.5, sigma=(sigma,))
+
+    @pytest.mark.parametrize("variance", [1e-320, 5e-324, math.nan])
+    def test_time_variance_with_infinite_reciprocal_rejected(self, variance):
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            with pytest.raises(ValueError, match=r"finite 1/\(2 variance\), got \["):
+                TimeClusterParams([1.0], [50.0], [variance])
+
+    def test_smallest_spreads_in_range_accepted(self):
+        model = single_rule_model([0.0], 0.5, sigma=(1e-150,), variant="weighted")
+        assert model.sigmas[0] == 1e-150
+        assert TimeClusterParams([1.0], [0.0], [1e-300]).variances[0] == 1e-300
+
     def test_feature_set_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match=r"feature_set has 1 name\(s\) for 2 "):
             TSFISModel(centers=[[0.0, 1.0]], slopes=[[1.0, 0.0]], offsets=[0.5],
