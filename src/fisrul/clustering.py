@@ -197,6 +197,15 @@ def subtractive_cluster(table: TrainingTable, config: ClusterConfig | None = Non
 
     alpha = 4.0 / config.ra**2
     beta = 4.0 / config.rb**2
+    sigmas = input_sigmas(table, config.ra)
+    # On the training rows each firing exponent sums I terms (v - c)^2/sigma^2
+    # of at most 2 alpha; the potentials' alpha d^2, d^2 <= I+1, stay below that
+    with np.errstate(divide="ignore", over="ignore"):
+        finite = np.isfinite(1.0 / sigmas**2).all()
+    if not (finite and math.isfinite(2.0 * table.n_features * alpha)):
+        raise ValueError(f"ra out of range for this data: 1/sigma^2 of every spread "
+                         f"and 8 I/ra^2 (I={table.n_features}) must be finite, "
+                         f"got ra={config.ra}")
     block = max(1, _BLOCK_BYTES // (8 * normed.size))
     potential = np.empty(n_rows)
     for start in range(0, n_rows, block):
@@ -234,6 +243,6 @@ def subtractive_cluster(table: TrainingTable, config: ClusterConfig | None = Non
     indices = np.array(accepted, dtype=int)
     return ClusterSet(
         centers=data[indices].copy(),
-        sigmas=input_sigmas(table, config.ra),
+        sigmas=sigmas,
         row_indices=indices,
     )

@@ -35,7 +35,8 @@ SVD_RCOND = 1e-10
 
 class Rule(NamedTuple):
     """Read-only view of one rule: input center, affine consequent
-    ``a . v + b`` and, for weighted models, its prior and time cluster."""
+    ``a . v + b`` and, for weighted models, its prior and time cluster.
+    The fields are a model file's rule keys, the first three for every file."""
 
     center: np.ndarray
     a: np.ndarray
@@ -55,7 +56,6 @@ class TSFISModel:
     sigmas: np.ndarray                    # I shared membership spreads
     time_params: TimeClusterParams | None  # weighted variant only
     feature_set: tuple[str, ...]
-    variant: str                          # "baseline" or "weighted"
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -80,12 +80,13 @@ class TSFISModel:
         if bad.size:
             raise ValueError(f"membership spreads must have a finite 1/sigma^2, "
                              f"got {bad.tolist()}")
-        if self.variant not in ("baseline", "weighted"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if (self.variant == "weighted") != (self.time_params is not None):
-            raise ValueError("weighted models, and only they, need time parameters")
         if self.time_params is not None and self.time_params.n_rules != j:
             raise ValueError("time parameters do not match the rule count")
+
+    @property
+    def variant(self) -> str:
+        """"weighted" when the model has time parameters, else "baseline"."""
+        return "baseline" if self.time_params is None else "weighted"
 
     @property
     def n_rules(self) -> int:
@@ -205,7 +206,6 @@ def _identified(table: TrainingTable, clusters: ClusterSet, degrees: np.ndarray,
         sigmas=clusters.sigmas.copy(),
         time_params=time_params,
         feature_set=table.feature_names,
-        variant="baseline" if time_params is None else "weighted",
         provenance=provenance or {},
     )
 
@@ -247,17 +247,8 @@ def save_model(model: TSFISModel, path) -> None:
         "variant": model.variant,
         "feature_set": list(model.feature_set),
         "sigmas": [float(s) for s in model.sigmas],
-        "rules": [
-            {
-                "center": [float(c) for c in rule.center],
-                "a": [float(a) for a in rule.a],
-                "b": rule.b,
-                "prior": rule.prior,
-                "time_centroid": rule.time_centroid,
-                "time_variance": rule.time_variance,
-            }
-            for rule in model.rules
-        ],
+        "rules": [{**rule._asdict(), "center": rule.center.tolist(),
+                   "a": rule.a.tolist()} for rule in model.rules],
         "provenance": model.provenance,
     }
     with open(path, "w") as fh:
@@ -302,9 +293,9 @@ def load_model(path) -> TSFISModel:
         raise ConfigError(f"{path}: feature_set: expected a list of names, got {names!r}")
     if not isinstance(rules, list) or not rules:
         raise ConfigError(f"{path}: rules must be a non-empty list")
-    keys = ("center", "a", "b")
-    if doc["variant"] == "weighted":
-        keys += ("prior", "time_centroid", "time_variance")
+    if doc["variant"] not in ("baseline", "weighted"):
+        raise ConfigError(f"{path}: unknown variant {doc['variant']!r}")
+    keys = Rule._fields if doc["variant"] == "weighted" else Rule._fields[:3]
     for j, rule in enumerate(rules):
         where = f"{path}: rule {j}"
         missing = [k for k in keys if not isinstance(rule, dict) or rule.get(k) is None]
@@ -314,24 +305,18 @@ def load_model(path) -> TSFISModel:
             raise ConfigError(f"{where}: rule weight {rule['weight']!r} is not "
                               "supported (only 1.0)")
         for key in keys:
-            _numbers(rule[key], f"{where}: {key}", n if key in ("center", "a") else None)
+            _numbers(rule[key], f"{where}: {key}", n if key in Rule._fields[:2] else None)
 
-    def column(key):
-        return np.array([rule[key] for rule in rules], dtype=float)
-
+    centers, slopes, offsets, *time_columns = (
+        np.array([rule[key] for rule in rules], dtype=float) for key in keys)
     try:
-        time_params = None
-        if doc["variant"] == "weighted":
-            time_params = TimeClusterParams(column("prior"), column("time_centroid"),
-                                            column("time_variance"))
         return TSFISModel(
-            centers=column("center"),
-            slopes=column("a"),
-            offsets=column("b"),
+            centers=centers,
+            slopes=slopes,
+            offsets=offsets,
             sigmas=np.array(sigmas, dtype=float),
-            time_params=time_params,
+            time_params=TimeClusterParams(*time_columns) if time_columns else None,
             feature_set=tuple(names),
-            variant=doc["variant"],
             provenance=doc.get("provenance", {}),
         )
     except ValueError as exc:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,21 @@ class TestFeaturesCommand:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 1
         assert f"error: {path}: not a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("names, message", [
+        ([], "{root}: no data files found"),
+        (["notes.txt"], "{root}/notes.txt: file name is not a timestamp"),
+    ], ids=["empty", "not-a-timestamp"])
+    def test_ims_directory_without_data_files_exits_1(self, tmp_path, capsys,
+                                                      names, message):
+        root = tmp_path / "ims"
+        root.mkdir()
+        for name in names:
+            (root / name).write_text("1.0\n")
+        code = main(["features", "--input", str(root), "--format", "ims",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.strip() == f"error: {message.format(root=root)}"
 
     def test_non_finite_phm_sample_exits_1(self, tmp_path, capsys):
         root, _ = make_phm_dir(tmp_path)
@@ -321,9 +337,13 @@ class TestMalformedInputs:
          "membership spreads must have a finite 1/sigma^2, got [1e-320]"),
         (lambda doc: doc["rules"][0].update(time_variance=1e-320),
          "time variances must have a finite 1/(2 variance), got [1e-320]"),
+        (lambda doc: doc.pop("rules"), "missing key(s) ['rules']"),
+        (lambda doc: doc.update(rules=[]), "rules must be a non-empty list"),
+        (lambda doc: doc.update(variant="foo"), "unknown variant 'foo'"),
     ], ids=["missing-key", "wrong-length", "non-numeric", "rule-weight",
             "feature-set-number", "feature-set-string", "feature-set-too-short",
-            "sigma-reciprocal-overflows", "time-variance-reciprocal-overflows"])
+            "sigma-reciprocal-overflows", "time-variance-reciprocal-overflows",
+            "missing-rules", "no-rules", "unknown-variant"])
     def test_bad_model_rule_exits_2(self, edit, message, synth_csvs, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         assert main(["train", "--train", str(synth_csvs["train_a"]),
@@ -336,6 +356,29 @@ class TestMalformedInputs:
                      str(synth_csvs["test_a"]), "--out", str(tmp_path / "p.csv")])
         assert code == 2
         assert f"error: {model_path}: {message}" in capsys.readouterr().err
+
+    def test_model_not_json_exits_2(self, synth_csvs, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text("rules: 1\n")
+        code = main(["predict", "--model", str(model_path), "--input",
+                     str(synth_csvs["test_a"]), "--out", str(tmp_path / "p.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {model_path}: not a JSON document: ")
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b,c\n0,0,0\n", "{bad}: expected header k,tau,<features...>,rho"),
+        ("k,tau,rho\n0,0,0.1\n", "{bad}: no feature columns"),
+        ("k,tau,f1,rho\n0,0,0.5,0.1\n1,10,0.5\n", "{bad}:3: expected 4 columns"),
+        ("k,tau,f1,rho\n", "{bad}: no data rows"),
+    ], ids=["bad-header", "no-feature-columns", "short-row", "no-rows"])
+    def test_bad_feature_csv_exits_2(self, text, message, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        code = main(["train", "--train", str(bad), "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"error: {message.format(bad=bad)}"
+        assert not (tmp_path / "m.json").exists()
 
     def test_bad_feature_cell_exits_2(self, synth_csvs, tmp_path, capsys):
         lines = synth_csvs["train_a"].read_text().splitlines()
@@ -369,7 +412,7 @@ class TestResultCells:
         model = TSFISModel(centers=[[0.0, 0.0]], slopes=[[1.0, 0.0]],
                            offsets=[-np.median(table.features[:, 0])],
                            sigmas=[1.0, 1.0], time_params=None,
-                           feature_set=table.feature_names, variant="baseline")
+                           feature_set=table.feature_names)
         model_path, out = tmp_path / "model.json", tmp_path / "pred.csv"
         save_model(model, model_path)
         assert main(["predict", "--model", str(model_path), "--input",
@@ -652,9 +695,10 @@ class TestMalformedConfig:
         ('{"cluster": {"radius": 0.4}}', "cluster: unknown key 'radius'"),
         ('{"filter": {"frame": 31}}', "filter: unknown key 'frame'"),
         ('{"cluster": {"ra": 0.4,}}', "not a JSON document"),
+        ('{"version": 2}', "unsupported config version: 2"),
     ], ids=["not-an-object", "cluster-not-an-object", "filter-not-an-object",
             "non-numeric", "boolean", "non-integer-frame", "unknown-cluster-key",
-            "unknown-filter-key", "invalid-json"])
+            "unknown-filter-key", "invalid-json", "unsupported-version"])
     def test_benchmark_names_file_and_key(self, text, message, synth_csvs,
                                           tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -741,6 +785,45 @@ class TestMalformedConfig:
         cfg.write_text('{"cluster": {"ra": -1}}')
         assert main(["train", "--train", str(synth_csvs["train_a"]), "--config",
                      str(cfg), "--ra", "0.5", "--out", str(tmp_path / "m.json")]) == 0
+
+
+@pytest.fixture(scope="module")
+def three_feature_csvs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("three-features")
+    paths = [tmp / f"s{seed}.csv" for seed in (1, 2)]
+    for seed, path in zip((1, 2), paths):
+        assert main(["synth", "--seed", str(seed), "--n-features", "3",
+                     "--out", str(path)]) == 0
+    return [str(path) for path in paths]
+
+
+class TestTinyRadius:
+    """A radius that passes ClusterConfig but is too small for the data fails
+    before clustering sums a potential, naming ra; no numpy warning escapes."""
+
+    @pytest.mark.parametrize("ra, rules", [
+        ("1.5e-154", None), ("2e-154", None), ("3e-154", None),
+        ("5e-154", 240), ("1e-153", 240), ("1e-152", 240),
+    ])
+    @pytest.mark.parametrize("variant", ["baseline", "weighted"])
+    def test_sweep(self, ra, rules, variant, three_feature_csvs, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--train", *three_feature_csvs, "--variant",
+                         variant, "--ra", ra, "--out", str(out)])
+        assert [str(w.message) for w in caught
+                if "encountered in" in str(w.message)] == []
+        err = capsys.readouterr().err
+        if rules is None:
+            assert code == 1
+            assert err.splitlines() == [
+                "error: ra out of range for this data: 1/sigma^2 of every spread "
+                f"and 8 I/ra^2 (I=3) must be finite, got ra={float(ra)}"]
+            assert not out.exists()
+        else:
+            assert code == 0
+            assert load_model(out).n_rules == rules
 
 
 @pytest.fixture(scope="module")

@@ -192,6 +192,19 @@ class TestSubtractiveCluster:
         with pytest.raises(ValueError):
             subtractive_cluster(table)
 
+    @pytest.mark.parametrize("column, ra", [
+        ([0.0, 1e-160, 2e-160], 0.5),   # a spread's 1/sigma^2 overflows
+        ([0.0, 1.0, 2.0], 2e-154),      # 4/ra^2 is finite, 8 I/ra^2 is not
+    ], ids=["spread", "firing-exponent"])
+    def test_radius_too_small_for_the_data_named(self, column, ra):
+        table = TrainingTable(np.array(column)[:, None], rho=[0.0, 0.5, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^ra out of range for this data: "
+                                                 rf".*\(I=1\).*got ra={ra}$") as caught:
+                subtractive_cluster(table, ClusterConfig(ra=ra))
+        assert caught.value.__context__ is None
+
 
 def straddling_duplicates_table(rng):
     """Two-group table whose group-a center row sits at rows 6 and 7, so

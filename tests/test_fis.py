@@ -34,7 +34,6 @@ def array_model(centers, slopes, offsets, sigmas, time_params=None):
         sigmas=sigmas,
         time_params=time_params,
         feature_set=tuple(f"f{i+1}" for i in range(np.shape(centers)[1])),
-        variant="baseline" if time_params is None else "weighted",
     )
 
 
@@ -205,8 +204,7 @@ class TestInfer:
         arrays = {"centers": [[0.0]], "slopes": [[1.0]], "offsets": [0.5],
                   "sigmas": [1.0], field: value}
         with pytest.raises(ValueError):
-            TSFISModel(**arrays, time_params=None, feature_set=("f1",),
-                       variant="baseline")
+            TSFISModel(**arrays, time_params=None, feature_set=("f1",))
 
     @pytest.mark.parametrize("sigma", [1e-320, 1e-160, math.nan])
     def test_spread_with_infinite_reciprocal_square_rejected(self, sigma):
@@ -228,8 +226,7 @@ class TestInfer:
     def test_feature_set_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match=r"feature_set has 1 name\(s\) for 2 "):
             TSFISModel(centers=[[0.0, 1.0]], slopes=[[1.0, 0.0]], offsets=[0.5],
-                       sigmas=[1.0, 1.0], time_params=None, feature_set=("f1",),
-                       variant="baseline")
+                       sigmas=[1.0, 1.0], time_params=None, feature_set=("f1",))
 
 
 class TestIdentifyBaseline:

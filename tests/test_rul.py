@@ -188,6 +188,12 @@ class TestSavitzkyGolay:
         assert np.isnan(out[:2]).all()
         assert np.isfinite(out[2:]).all()
 
+    def test_smooth_rul_all_nan_unchanged(self):
+        x = np.full(8, np.nan)
+        out = smooth_rul(x)
+        assert out is not x
+        assert np.isnan(out).all() and out.shape == x.shape
+
 
 class TestRrmse:
     def test_perfect_estimate(self):
@@ -245,7 +251,6 @@ class TestEvaluateModel:
             sigmas=np.array([0.5]),
             time_params=None,
             feature_set=("f1",),
-            variant="baseline",
         )
         features = np.linspace(0.2, 2.0, 30)[:, None]
         table = TrainingTable(features, rho=0.5 * features[:, 0],
@@ -284,8 +289,7 @@ class TestEvaluateModel:
         _, table = self.perfect_model_and_table()
         # 0.5 v - 0.3 falls below RHO_FLOOR on the first 7 of the 30 rows
         model = TSFISModel(centers=[[1.0]], slopes=[[0.5]], offsets=[-0.3],
-                           sigmas=[0.5], time_params=None, feature_set=("f1",),
-                           variant="baseline")
+                           sigmas=[0.5], time_params=None, feature_set=("f1",))
         report = evaluate_model(model, {"b1": table}, sg_frame=11)
         b = report.bearings[0]
         assert np.count_nonzero(np.isnan(b.rul_hat)) == 7
