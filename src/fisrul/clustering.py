@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -107,6 +108,11 @@ class ClusterConfig:
     eps_reject: float = 0.15
 
     def __post_init__(self):
+        for name in ("ra", "rb", "eps_accept", "eps_reject"):
+            value = getattr(self, name)
+            if type(value) is bool or not (isinstance(value, Real)
+                                           or name == "rb" and value is None):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.rb is None:
             object.__setattr__(self, "rb", 1.25 * self.ra)
         if not self.ra > 0:

@@ -13,7 +13,8 @@ and numpy raised no warning (it warns on an empty file).  Anything else --
 a parse error, ``;``-separated PHM rows, rows of mixed width,
 whitespace-only lines, ``1_0``-style numbers, a short, long or empty file
 -- sends the file to the line parser, which is the one source of every
-``LoadError`` and its ``file:line``.  Both skip empty lines and read the
+``LoadError`` and its ``file:line``.  Both skip empty lines, take the
+sample column from the format's one ``column(width)`` rule and read the
 same doubles, so the path taken never shows in the samples.
 """
 
@@ -33,11 +34,9 @@ from .clustering import TrainingTable
 from .errors import LoadError
 from .features import SignalWindow
 
-PHM_SAMPLE_RATE = 25600.0
 PHM_WINDOW_LEN = 2560
 PHM_INTERVAL = 10.0
 
-IMS_SAMPLE_RATE = 20000.0
 IMS_WINDOW_LEN = 20480
 
 _PHM_NAME = re.compile(r"^acc_(\d+)\.csv$")
@@ -53,20 +52,23 @@ def _parse_float(token: str, path: Path, lineno: int) -> float:
     return value
 
 
-def _parse_lines(path: Path, n_rows: int, token) -> np.ndarray:
-    """The line parser: blank lines are skipped and ``token(line, path,
-    lineno)`` picks the sample cell of every other line, raising LoadError
-    when the line is malformed."""
+def _parse_lines(path: Path, n_rows: int, split, column) -> np.ndarray:
+    """The line parser: blank lines are skipped and every other line is cut
+    by ``split(line)``; a ``column`` message raises LoadError."""
     samples = np.empty(n_rows)
-    count = 0
+    count, width = 0, None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            cell = token(line, path, lineno)
+            cells = split(line)
+            if len(cells) != width:  # the rule reads the width only
+                width, col = len(cells), column(len(cells))
+                if isinstance(col, str):
+                    raise LoadError(f"{path}:{lineno}: {col}")
             if count >= n_rows:
                 raise LoadError(f"{path}:{lineno}: more than {n_rows} rows")
-            samples[count] = _parse_float(cell, path, lineno)
+            samples[count] = _parse_float(cells[col], path, lineno)
             count += 1
     if count != n_rows:
         raise LoadError(f"{path}: expected {n_rows} rows, got {count}")
@@ -75,8 +77,7 @@ def _parse_lines(path: Path, n_rows: int, token) -> np.ndarray:
 
 def _load_column(path: Path, n_rows: int, delimiter: str, column) -> np.ndarray | None:
     """The samples of ``path`` as ``np.loadtxt`` reads them, or None when the
-    line parser must read the file.  ``column(width)`` is the sample column
-    of a table ``width`` cells wide, or None when that width is malformed."""
+    line parser must read the file."""
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -86,22 +87,24 @@ def _load_column(path: Path, n_rows: int, delimiter: str, column) -> np.ndarray 
     if caught or table.shape[0] != n_rows:
         return None
     col = column(table.shape[1])
-    if not isinstance(col, Integral):  # None, or a channel the line parser rejects
+    if isinstance(col, str):
         return None
-    samples = table[:, int(col)].copy()
+    samples = table[:, col].copy()
     return samples if np.isfinite(samples).all() else None
 
 
-def _read_windows(paths, timestamps, n_rows: int, sample_rate: float,
-                  delimiter: str, column, token) -> Iterator[SignalWindow]:
+def _read_windows(paths, timestamps, n_rows: int, delimiter: str,
+                  split, column) -> Iterator[SignalWindow]:
     """One window of ``n_rows`` samples per file, read by ``np.loadtxt``
     where it reads the file as the line parser would, else by the line
-    parser."""
+    parser.  The format's rule ``column(width)`` is the sample column of a
+    row ``width`` cells wide, or a message saying why that width is not
+    allowed; both parsers follow it."""
     for order, (path, timestamp) in enumerate(zip(paths, timestamps)):
         samples = _load_column(path, n_rows, delimiter, column)
         if samples is None:
-            samples = _parse_lines(path, n_rows, token)
-        yield SignalWindow(samples, sample_rate, index=order + 1, timestamp=timestamp)
+            samples = _parse_lines(path, n_rows, split, column)
+        yield SignalWindow(samples, index=order + 1, timestamp=timestamp)
 
 
 def _directory(dir_path) -> Path:
@@ -109,14 +112,6 @@ def _directory(dir_path) -> Path:
     if not root.is_dir():
         raise LoadError(f"{root}: not a directory")
     return root
-
-
-def _phm_cell(line: str, path: Path, lineno: int) -> str:
-    line = line.strip()
-    cells = line.split(";") if ";" in line else line.split(",")
-    if len(cells) not in (5, 6):
-        raise LoadError(f"{path}:{lineno}: expected 5 or 6 columns, got {len(cells)}")
-    return cells[4]
 
 
 def iter_phm(dir_path) -> Iterator[SignalWindow]:
@@ -138,10 +133,10 @@ def iter_phm(dir_path) -> Iterator[SignalWindow]:
     indices = [idx for idx, _ in names]
     if any(b <= a for a, b in zip(indices, indices[1:])):
         raise LoadError(f"{root}: file indices are not strictly increasing")
-    yield from _read_windows([root / name for _, name in names],
-                             [PHM_INTERVAL * k for k in range(len(names))],
-                             PHM_WINDOW_LEN, PHM_SAMPLE_RATE, ",",
-                             lambda width: 4 if width in (5, 6) else None, _phm_cell)
+    yield from _read_windows(
+        [root / name for _, name in names], [PHM_INTERVAL * k for k in range(len(names))],
+        PHM_WINDOW_LEN, ",", lambda line: line.strip().split(";" if ";" in line else ","),
+        lambda width: 4 if width in (5, 6) else f"expected 5 or 6 columns, got {width}")
 
 
 def _ims_timestamp(name: str, root: Path) -> datetime:
@@ -165,19 +160,12 @@ def iter_ims(dir_path, channel: int = 0) -> Iterator[SignalWindow]:
     stamps = [_ims_timestamp(name, root) for name in names]
     if any(b <= a for a, b in zip(stamps, stamps[1:])):
         raise LoadError(f"{root}: file timestamps are not strictly increasing")
-
-    def cell(line: str, path: Path, lineno: int) -> str:
-        cells = line.rstrip("\n").split("\t")
-        if not 0 <= channel < len(cells):
-            raise LoadError(
-                f"{path}:{lineno}: channel {channel} out of range ({len(cells)} columns)")
-        return cells[channel]
-
-    yield from _read_windows([root / name for name in names],
-                             [(stamp - stamps[0]).total_seconds() for stamp in stamps],
-                             IMS_WINDOW_LEN, IMS_SAMPLE_RATE, "\t",
-                             lambda width: channel if 0 <= channel < width else None,
-                             cell)
+    yield from _read_windows(
+        [root / name for name in names],
+        [(stamp - stamps[0]).total_seconds() for stamp in stamps], IMS_WINDOW_LEN, "\t",
+        lambda line: line.rstrip("\n").split("\t"),
+        lambda width: int(channel) if isinstance(channel, Integral) and 0 <= channel < width
+        else f"channel {channel} out of range ({width} columns)")
 
 
 # Per-regime slope patterns of the synthetic feature trajectories (features

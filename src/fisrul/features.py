@@ -57,7 +57,6 @@ class SignalWindow:
     """One fixed-length acceleration snapshot recorded at ``timestamp`` seconds."""
 
     samples: np.ndarray
-    sample_rate: float
     index: int = 1
     timestamp: float = 0.0
 
@@ -66,8 +65,6 @@ class SignalWindow:
         object.__setattr__(self, "samples", samples)
         if samples.size == 0:
             raise ValueError("signal window has no samples")
-        if not self.sample_rate > 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
 
 
 @dataclass(frozen=True)
@@ -99,13 +96,13 @@ class FeatureParams:
             value = getattr(self, name)
             if value is None and getattr(FeatureParams, name) is None:
                 continue
-            if not isinstance(value, Integral):
+            if type(value) is bool or not isinstance(value, Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if not value >= low:
                 raise ValueError(f"{name} must be at least {low}, got {value}")
         for name in ("ae_r_tol", "diae_baseline_frac"):
             value = getattr(self, name)
-            if not isinstance(value, Real) or not math.isfinite(value):
+            if type(value) is bool or not isinstance(value, Real) or not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not self.ae_r_tol > 0:
             raise ValueError(f"ae_r_tol must be positive, got {self.ae_r_tol}")
@@ -113,10 +110,12 @@ class FeatureParams:
             raise ValueError(f"diae_baseline_frac must lie in (0, 1), "
                              f"got {self.diae_baseline_frac}")
         fit = self.lle_fit_range
-        if fit is not None and not (len(fit) == 2 and all(
-                isinstance(v, Integral) for v in fit) and 0 <= fit[0] < fit[1]):
+        if fit is not None and not (isinstance(fit, (tuple, list)) and len(fit) == 2
+                                    and all(type(v) is not bool and isinstance(v, Integral)
+                                            for v in fit) and 0 <= fit[0] < fit[1]):
             raise ValueError(f"lle_fit_range must be null or (lo, hi) with "
                              f"0 <= lo < hi, both integers, got {fit}")
+        object.__setattr__(self, "lle_fit_range", fit if fit is None else tuple(fit))
 
 
 # The settings a kernel uses when called without its own FeatureParams.

@@ -301,12 +301,14 @@ def load_model(path) -> TSFISModel:
         missing = [k for k in keys if not isinstance(rule, dict) or rule.get(k) is None]
         if missing:
             raise ConfigError(f"{where}: missing key(s) {missing}")
-        if rule.get("weight", 1.0) != 1.0:
-            raise ConfigError(f"{where}: rule weight {rule['weight']!r} is not "
+        if (weight := rule.get("weight", 1.0)) is True or weight != 1.0:
+            raise ConfigError(f"{where}: rule weight {weight!r} is not "
                               "supported (only 1.0)")
         for key in keys:
             _numbers(rule[key], f"{where}: {key}", n if key in Rule._fields[:2] else None)
 
+    if not isinstance(provenance := doc.get("provenance", {}), dict):
+        raise ConfigError(f"{path}: provenance: expected an object, got {provenance!r}")
     centers, slopes, offsets, *time_columns = (
         np.array([rule[key] for rule in rules], dtype=float) for key in keys)
     try:
@@ -317,7 +319,7 @@ def load_model(path) -> TSFISModel:
             sigmas=np.array(sigmas, dtype=float),
             time_params=TimeClusterParams(*time_columns) if time_columns else None,
             feature_set=tuple(names),
-            provenance=doc.get("provenance", {}),
+            provenance=provenance,
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -44,7 +45,9 @@ def rul_from_ratio(rho_hat: float, tau: float) -> float:
 
 
 def check_filter(order: int, frame: int) -> None:
-    """ConfigError unless the frame length is odd and 0 <= order < frame."""
+    """ConfigError unless order and frame are integers, frame is odd and 0 <= order < frame."""
+    if not all(type(v) is not bool and isinstance(v, Integral) for v in (order, frame)):
+        raise ConfigError(f"filter order and frame must be integers, got {order!r}, {frame!r}")
     if frame % 2 == 0:
         raise ConfigError(f"filter frame length must be odd, got {frame}")
     if not 0 <= order < frame:

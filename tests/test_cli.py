@@ -340,10 +340,15 @@ class TestMalformedInputs:
         (lambda doc: doc.pop("rules"), "missing key(s) ['rules']"),
         (lambda doc: doc.update(rules=[]), "rules must be a non-empty list"),
         (lambda doc: doc.update(variant="foo"), "unknown variant 'foo'"),
+        # true == 1.0 in Python, but a JSON boolean is no rule weight
+        (lambda doc: doc["rules"][0].update(weight=True),
+         "rule 0: rule weight True is not supported (only 1.0)"),
+        (lambda doc: doc.update(provenance=5), "provenance: expected an object, got 5"),
     ], ids=["missing-key", "wrong-length", "non-numeric", "rule-weight",
             "feature-set-number", "feature-set-string", "feature-set-too-short",
             "sigma-reciprocal-overflows", "time-variance-reciprocal-overflows",
-            "missing-rules", "no-rules", "unknown-variant"])
+            "missing-rules", "no-rules", "unknown-variant", "boolean-rule-weight",
+            "provenance-not-an-object"])
     def test_bad_model_rule_exits_2(self, edit, message, synth_csvs, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         assert main(["train", "--train", str(synth_csvs["train_a"]),

@@ -1,5 +1,6 @@
 """Subtractive clustering against the brute-force potential oracle."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -32,6 +33,16 @@ class TestClusterConfig:
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
+            ClusterConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"ra": True}, "ra must be a number, got True"),
+        ({"ra": "x"}, "ra must be a number, got 'x'"),
+        ({"rb": "1.0"}, "rb must be a number, got '1.0'"),
+        ({"eps_reject": None}, "eps_reject must be a number, got None"),
+    ])
+    def test_non_number_named(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ClusterConfig(**kwargs)
 
     @pytest.mark.parametrize("kwargs, name", [

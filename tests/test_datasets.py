@@ -54,7 +54,6 @@ class TestLoadPhm:
         assert len(windows) == 3
         assert [w.timestamp for w in windows] == [0.0, 10.0, 20.0]
         for window, original in zip(windows, originals):
-            assert window.sample_rate == 25600.0
             np.testing.assert_array_equal(window.samples, original)
 
     def test_lossless_round_trip(self, tmp_path):
@@ -137,7 +136,6 @@ class TestLoadIms:
         assert [w.timestamp for w in windows] == [0.0, 600.0]
         for window, block in zip(windows, data):
             assert window.samples.size == IMS_WINDOW_LEN
-            assert window.sample_rate == 20000.0
             np.testing.assert_array_equal(window.samples, block[:, 0])
 
     def test_channel_selection(self, tmp_path):
@@ -152,9 +150,10 @@ class TestLoadIms:
         with pytest.raises(LoadError, match="channel"):
             list(iter_ims(root, channel=5))
 
-    @pytest.mark.parametrize("channel", [-1, -5])
+    @pytest.mark.parametrize("channel", [-1, -5, 1.0, 2.5])
     def test_negative_channel_rejected(self, tmp_path, channel):
-        # -1 would otherwise read the last column, -5 index past the first
+        # -1 would otherwise read the last column, -5 index past the first;
+        # a float is no column index even when it is whole
         root, _ = make_ims_dir(tmp_path, ["2003.10.22.12.06.24"])
         path = re.escape(str(root / "2003.10.22.12.06.24"))
         with pytest.raises(LoadError, match=rf"^{path}:1: channel {channel} out of "
@@ -269,7 +268,7 @@ class TestFastPath:
     @settings(max_examples=150, deadline=None)
     @given(text=signal_text(widths=[1, 2, 4, 8], separators=["\t"],
                             other_separators=[",", " ", "\t\t"]),
-           channel=st.integers(-1, 8))
+           channel=st.integers(-1, 8) | st.sampled_from([1.0, 2.5]))
     def test_ims_same_as_line_parser(self, text, channel):
         with tempfile.TemporaryDirectory() as tmp, \
                 mock.patch.object(datasets, "IMS_WINDOW_LEN", SHORT_WINDOW):

@@ -32,8 +32,8 @@ from fisrul.features import (
 from conftest import brute_force_apen, brute_force_theiler_neighbors
 
 
-def make_window(samples, rate=25600.0, index=1, timestamp=0.0):
-    return SignalWindow(np.asarray(samples, dtype=float), rate, index, timestamp)
+def make_window(samples, index=1, timestamp=0.0):
+    return SignalWindow(np.asarray(samples, dtype=float), index, timestamp)
 
 
 class TestFeatureParams:
@@ -43,10 +43,12 @@ class TestFeatureParams:
         ("ae_m", 0, "ae_m must be at least 1, got 0"),
         ("ae_m", 2.0, "ae_m must be an integer, got 2.0"),
         ("ae_m", None, "ae_m must be an integer, got None"),
+        ("ae_m", True, "ae_m must be an integer, got True"),
         ("ae_r_tol", 0, "ae_r_tol must be positive, got 0"),
         # an infinite tolerance would make every template match: ApEn 0
         ("ae_r_tol", math.inf, "ae_r_tol must be a finite number, got inf"),
         ("ae_r_tol", "x", "ae_r_tol must be a finite number, got 'x'"),
+        ("ae_r_tol", True, "ae_r_tol must be a finite number, got True"),
         ("lle_embed_dim", 0, "lle_embed_dim must be at least 1, got 0"),
         ("lle_embed_dim", 5.0, "lle_embed_dim must be an integer, got 5.0"),
         ("lle_lag", 0, "lle_lag must be at least 1, got 0"),
@@ -57,6 +59,8 @@ class TestFeatureParams:
         ("lle_fit_range", (-1, 4), "lle_fit_range must be null or (lo, hi)"),
         ("lle_fit_range", (0.5, 6), "lle_fit_range must be null or (lo, hi)"),
         ("lle_fit_range", (0, 4, 8), "lle_fit_range must be null or (lo, hi)"),
+        ("lle_fit_range", (False, True), "lle_fit_range must be null or (lo, hi)"),
+        ("lle_fit_range", 5, "lle_fit_range must be null or (lo, hi)"),
         ("cd_embed_dim", 0, "cd_embed_dim must be at least 1, got 0"),
         ("cd_embed_dim", "5", "cd_embed_dim must be an integer, got '5'"),
         ("cd_lag", 0, "cd_lag must be at least 1, got 0"),
@@ -67,11 +71,12 @@ class TestFeatureParams:
         # a negative stride cap would reverse the window
         ("max_points", -600, "max_points must be at least 0, got -600"),
         ("max_points", 600.0, "max_points must be an integer, got 600.0"),
-    ], ids=["ae-m-zero", "ae-m-float", "ae-m-null", "ae-r-tol-zero", "ae-r-tol-inf",
-            "ae-r-tol-string", "lle-embed-dim-zero",
+    ], ids=["ae-m-zero", "ae-m-float", "ae-m-null", "ae-m-boolean", "ae-r-tol-zero",
+            "ae-r-tol-inf", "ae-r-tol-string", "ae-r-tol-boolean", "lle-embed-dim-zero",
             "lle-embed-dim-float", "lle-lag-zero", "lle-lag-float", "lle-mean-period-negative",
             "lle-mean-period-float", "lle-fit-range-empty", "lle-fit-range-negative",
-            "lle-fit-range-float", "lle-fit-range-triple", "cd-embed-dim-zero",
+            "lle-fit-range-float", "lle-fit-range-triple", "lle-fit-range-booleans",
+            "lle-fit-range-number", "cd-embed-dim-zero",
             "cd-embed-dim-string", "cd-lag-zero", "cd-lag-float", "diae-baseline-frac-one",
             "diae-baseline-frac-string", "max-points-negative", "max-points-float"])
     def test_bad_value_rejected(self, field, value, message):
@@ -83,6 +88,11 @@ class TestFeatureParams:
                           lle_fit_range=(np.int32(0), np.int32(6)), cd_lag=None,
                           max_points=0)
         assert (p.ae_m, p.lle_mean_period, p.max_points) == (3, 0, 0)
+
+    def test_fit_range_list_stored_as_tuple(self):
+        # a JSON config gives a list; the frozen params must stay hashable
+        p = FeatureParams(lle_fit_range=[0, 5])
+        assert p.lle_fit_range == (0, 5) and hash(p) == hash(FeatureParams(lle_fit_range=(0, 5)))
 
 
 class TestRms:

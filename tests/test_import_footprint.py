@@ -47,7 +47,7 @@ def features_path(names):
 import numpy as np
 from fisrul.features import SignalWindow, extract_features
 gen = np.random.default_rng(0)
-windows = [SignalWindow(gen.normal(size=2560), 25600.0, k, 10.0 * k)
+windows = [SignalWindow(gen.normal(size=2560), k, 10.0 * k)
            for k in range(1, 4)]
 extract_features(windows, {names!r})
 """

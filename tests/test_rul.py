@@ -144,6 +144,11 @@ class TestSavitzkyGolay:
         with pytest.raises(ConfigError, match="0 <= order < frame"):
             savitzky_golay(np.ones(100), order=-1, frame=61)
 
+    @pytest.mark.parametrize("order, frame", [(2, 61.0), (2.0, 61), (True, 61)])
+    def test_non_integer_order_or_frame_rejected(self, order, frame):
+        with pytest.raises(ConfigError, match="filter order and frame must be integers"):
+            savitzky_golay(np.ones(100), order, frame)
+
     def test_short_series_passes_through_with_warning(self):
         x = np.arange(10.0)
         with pytest.warns(RuntimeWarning):
