@@ -14,7 +14,6 @@ import dataclasses
 import hashlib
 import inspect
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -56,16 +55,14 @@ SECTIONS = {"cluster": ClusterConfig, "features": FeatureParams, "filter": _filt
 def _settings(args) -> dict:
     """Every section's settings, built from the whole ``--config`` document
     with the command-line flags on top (a flag is an argument named like a
-    builder parameter).  A section's values are numbers, integers where the
-    parameter is annotated ``int`` (a pair for a tuple), or null where the
-    default is null.  A bad flag raises its own error; every other problem
+    builder parameter).  A bad flag raises its own error; every other problem
     is a ConfigError naming the file and the section or key."""
     path, doc = args.config, {}
     if path is not None:
         with open(path) as fh:
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also digits past Python's int limit
                 raise ConfigError(f"{path}: not a JSON document: {exc}") from None
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: expected a JSON object, got {doc!r}")
@@ -77,25 +74,17 @@ def _settings(args) -> dict:
         raise ConfigError(f"{path}: unknown section {unknown[0]!r}")
     settings = {}
     for name, build in SECTIONS.items():
-        section, values = doc.get(name, {}), {}
+        section = doc.get(name, {})
         if not isinstance(section, dict):
             raise ConfigError(f"{path}: section {name!r} is not an object")
         params = inspect.signature(build).parameters
-        for key, value in section.items():
+        for key in section:
             if key not in params:
                 raise ConfigError(f"{path}: {name}: unknown key {key!r}")
-            hint = str(params[key].annotation)
-            kinds = (int,) if "int" in hint else (int, float)
-            pair = hint.startswith("tuple") and type(value) is list and len(value) == 2
-            cells = value if pair else [value]
-            if not (value is None and params[key].default is None or all(
-                    type(c) in kinds and math.isfinite(c) for c in cells)):
-                raise ConfigError(f"{path}: {name}.{key}: not a number: {value!r}")
-            values[key] = tuple(value) if pair else value
         flags = {k: getattr(args, k) for k in params
                  if getattr(args, k, None) is not None}
         try:
-            settings[name] = build(**{**values, **flags})
+            settings[name] = build(**{**section, **flags})
         except ValueError as exc:
             build(**flags)  # a bad flag raises its own error
             raise ConfigError(f"{path}: {name}: {exc}") from None

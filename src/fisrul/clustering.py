@@ -10,6 +10,7 @@ ranges.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from numbers import Real
@@ -113,6 +114,8 @@ class ClusterConfig:
             if type(value) is bool or not (isinstance(value, Real)
                                            or name == "rb" and value is None):
                 raise ValueError(f"{name} must be a number, got {value!r}")
+            if value is not None and not abs(value) <= sys.float_info.max:
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.rb is None:
             object.__setattr__(self, "rb", 1.25 * self.ra)
         if not self.ra > 0:
@@ -120,9 +123,9 @@ class ClusterConfig:
         if not self.rb > self.ra:
             raise ValueError(f"rb must exceed ra, got rb={self.rb} ra={self.ra}")
         for name in ("ra", "rb"):
-            r = getattr(self, name)
-            # r * r overflows to inf where r**2 would raise, and a zero
-            # square is never divided by
+            r = float(getattr(self, name))
+            # r * r overflows to inf where r**2 or an int square would raise,
+            # and a zero square is never divided by
             if not (r * r > 0.0 and 0.0 < 4.0 / (r * r) < math.inf):
                 raise ValueError(f"{name} out of range: 4/{name}^2 must be a finite "
                                  f"positive number, got {name}={r}")

@@ -164,7 +164,8 @@ def iter_ims(dir_path, channel: int = 0) -> Iterator[SignalWindow]:
         [root / name for name in names],
         [(stamp - stamps[0]).total_seconds() for stamp in stamps], IMS_WINDOW_LEN, "\t",
         lambda line: line.rstrip("\n").split("\t"),
-        lambda width: int(channel) if isinstance(channel, Integral) and 0 <= channel < width
+        lambda width: int(channel) if type(channel) is not bool
+        and isinstance(channel, Integral) and 0 <= channel < width
         else f"channel {channel} out of range ({width} columns)")
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -102,7 +103,8 @@ class FeatureParams:
                 raise ValueError(f"{name} must be at least {low}, got {value}")
         for name in ("ae_r_tol", "diae_baseline_frac"):
             value = getattr(self, name)
-            if type(value) is bool or not isinstance(value, Real) or not math.isfinite(value):
+            if type(value) is bool or not (isinstance(value, Real)
+                                           and abs(value) <= sys.float_info.max):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not self.ae_r_tol > 0:
             raise ValueError(f"ae_r_tol must be positive, got {self.ae_r_tol}")

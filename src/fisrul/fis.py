@@ -10,7 +10,7 @@ degrees, so the consequents absorb population and lifetime information.
 from __future__ import annotations
 
 import json
-import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -261,7 +261,8 @@ def _numbers(value, where: str, size: int | None = None):
     ``size`` of them; ConfigError naming ``where`` otherwise."""
     items = [value] if size is None else value
     if not (isinstance(items, list) and (size is None or len(items) == size)
-            and all(type(x) in (int, float) and math.isfinite(x) for x in items)):
+            and all(type(x) in (int, float) and abs(x) <= sys.float_info.max
+                    for x in items)):
         expected = "a finite number" if size is None else f"a list of {size} finite numbers"
         raise ConfigError(f"{where}: expected {expected}, got {value!r}")
 
@@ -277,7 +278,7 @@ def load_model(path) -> TSFISModel:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also digits past Python's int limit
             raise ConfigError(f"{path}: not a JSON document: {exc}") from None
     version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != MODEL_SCHEMA_VERSION:

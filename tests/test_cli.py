@@ -1,13 +1,20 @@
 """Command-line interface: full flows, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import inspect
+import io
 import json
+import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fisrul.cli import main
+from fisrul.cli import SECTIONS, main
 from fisrul.clustering import ClusterConfig, subtractive_cluster
 from fisrul.datasets import iter_ims, iter_phm
 from fisrul.features import extract_features, read_feature_csv
@@ -344,11 +351,13 @@ class TestMalformedInputs:
         (lambda doc: doc["rules"][0].update(weight=True),
          "rule 0: rule weight True is not supported (only 1.0)"),
         (lambda doc: doc.update(provenance=5), "provenance: expected an object, got 5"),
+        (lambda doc: doc["rules"][0].update(b=10**400),
+         f"rule 0: b: expected a finite number, got {10**400}"),
     ], ids=["missing-key", "wrong-length", "non-numeric", "rule-weight",
             "feature-set-number", "feature-set-string", "feature-set-too-short",
             "sigma-reciprocal-overflows", "time-variance-reciprocal-overflows",
             "missing-rules", "no-rules", "unknown-variant", "boolean-rule-weight",
-            "provenance-not-an-object"])
+            "provenance-not-an-object", "huge-integer-offset"])
     def test_bad_model_rule_exits_2(self, edit, message, synth_csvs, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         assert main(["train", "--train", str(synth_csvs["train_a"]),
@@ -365,6 +374,15 @@ class TestMalformedInputs:
     def test_model_not_json_exits_2(self, synth_csvs, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         model_path.write_text("rules: 1\n")
+        code = main(["predict", "--model", str(model_path), "--input",
+                     str(synth_csvs["test_a"]), "--out", str(tmp_path / "p.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {model_path}: not a JSON document: ")
+
+    def test_model_integer_past_digit_limit_exits_2(self, synth_csvs, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text('{"schema_version": 1' + "0" * 5000 + "}")
         code = main(["predict", "--model", str(model_path), "--input",
                      str(synth_csvs["test_a"]), "--out", str(tmp_path / "p.csv")])
         assert code == 2
@@ -694,16 +712,20 @@ class TestMalformedConfig:
         ("[1]", "expected a JSON object"),
         ('{"cluster": 5}', "section 'cluster' is not an object"),
         ('{"filter": [61]}', "section 'filter' is not an object"),
-        ('{"cluster": {"ra": "big"}}', "cluster.ra: not a number: 'big'"),
-        ('{"cluster": {"ra": true}}', "cluster.ra: not a number: True"),
-        ('{"filter": {"sg_frame": 31.5}}', "filter.sg_frame: not a number: 31.5"),
+        ('{"cluster": {"ra": "big"}}', "cluster: ra must be a number, got 'big'"),
+        ('{"cluster": {"ra": true}}', "cluster: ra must be a number, got True"),
+        ('{"filter": {"sg_frame": 31.5}}', "filter: filter order and frame must be "
+                                          "integers, got 2, 31.5"),
         ('{"cluster": {"radius": 0.4}}', "cluster: unknown key 'radius'"),
         ('{"filter": {"frame": 31}}', "filter: unknown key 'frame'"),
         ('{"cluster": {"ra": 0.4,}}', "not a JSON document"),
         ('{"version": 2}', "unsupported config version: 2"),
+        # past Python's 4300-digit int limit json raises a plain ValueError
+        ('{"cluster": {"ra": 1' + "0" * 5000 + "}}", "not a JSON document: "),
     ], ids=["not-an-object", "cluster-not-an-object", "filter-not-an-object",
             "non-numeric", "boolean", "non-integer-frame", "unknown-cluster-key",
-            "unknown-filter-key", "invalid-json", "unsupported-version"])
+            "unknown-filter-key", "invalid-json", "unsupported-version",
+            "integer-past-digit-limit"])
     def test_benchmark_names_file_and_key(self, text, message, synth_csvs,
                                           tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -714,6 +736,15 @@ class TestMalformedConfig:
         assert code == 2
         assert f"error: {cfg}: {message}" in capsys.readouterr().err
 
+    def test_undecodable_bytes_name_the_file(self, synth_csvs, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"cluster": {"ra": 0.5\xff}}')
+        code = main(["train", "--train", str(synth_csvs["train_a"]), "--config",
+                     str(cfg), "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {cfg}: not a JSON document: ")
+
     def test_features_section_non_numeric_value(self, tmp_path, capsys):
         root, _ = make_phm_dir(tmp_path)
         cfg = tmp_path / "cfg.json"
@@ -722,7 +753,7 @@ class TestMalformedConfig:
                      "--features", "ae", "--config", str(cfg),
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
-        assert f"error: {cfg}: features.ae_m: not a number: 'two'" \
+        assert f"error: {cfg}: features: ae_m must be an integer, got 'two'" \
             in capsys.readouterr().err
 
     def test_short_fit_range_rejected(self, tmp_path, capsys):
@@ -733,7 +764,8 @@ class TestMalformedConfig:
                      "--features", "lle", "--config", str(cfg),
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
-        assert f"error: {cfg}: features.lle_fit_range: not a number: [1]" \
+        assert f"error: {cfg}: features: lle_fit_range must be null or (lo, hi) " \
+            "with 0 <= lo < hi, both integers, got [1]" \
             in capsys.readouterr().err
 
     def test_null_radius_accepted(self, synth_csvs, tmp_path):
@@ -858,7 +890,7 @@ class TestOneConfigCheck:
 
     @pytest.mark.parametrize("document, message", [
         ({"clustr": {"ra": 0.3}}, "unknown section 'clustr'"),
-        ({"cluster": {"ra": "x"}}, "cluster.ra: not a number: 'x'"),
+        ({"cluster": {"ra": "x"}}, "cluster: ra must be a number, got 'x'"),
         ({"cluster": {"ra": 1e308}}, "cluster: ra out of range: 4/ra^2 must be a "
                                      "finite positive number, got ra=1e+308"),
         ({"filter": {"sg_frame": 60}}, "filter: filter frame length must be odd, got 60"),
@@ -880,10 +912,14 @@ class TestOneConfigCheck:
          "features: diae_baseline_frac must lie in (0, 1), got 1"),
         ({"features": {"max_points": -600}},
          "features: max_points must be at least 0, got -600"),
+        ({"cluster": {"ra": 10**400}}, f"cluster: ra must be a finite number, got {10**400}"),
+        ({"features": {"ae_r_tol": 10**400}},
+         f"features: ae_r_tol must be a finite number, got {10**400}"),
     ], ids=["unknown-section", "non-numeric-radius", "radius-square-overflows",
             "even-frame", "negative-order",
             "ae-m", "ae-r-tol", "lle-embed-dim", "cd-embed-dim", "lle-lag", "cd-lag",
-            "lle-mean-period", "lle-fit-range", "diae-baseline-frac", "max-points"])
+            "lle-mean-period", "lle-fit-range", "diae-baseline-frac", "max-points",
+            "huge-integer-radius", "huge-integer-r-tol"])
     def test_bad_document_fails_every_command_alike(self, document, message,
                                                     command_lines, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -903,6 +939,28 @@ class TestOneConfigCheck:
             "filter": {"sg_order": 2, "sg_frame": 11}}))
         for command, argv in command_lines.items():
             assert main([*argv, "--config", str(cfg)]) == 0, command
+
+    @settings(max_examples=150, deadline=None)
+    @given(where=st.sampled_from([(name, key) for name, build in SECTIONS.items()
+                                  for key in inspect.signature(build).parameters]),
+           value=st.sampled_from([None, True, "x", [], {}, [0, 5], [1], 0, -1, 2, 61,
+                                  0.5, 5e-324, 1e-200, 1e308, 10**400, -10**400,
+                                  math.nan, math.inf, -math.inf]))
+    def test_one_key_document_never_ends_in_a_traceback(self, where, value,
+                                                         command_lines):
+        section, key = where
+        argv = command_lines["train"]
+        cfg = Path(argv[-1]).with_name("drawn.json")
+        cfg.write_text(json.dumps({section: {key: value}}))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--config", str(cfg)])
+        errors = [line for line in stderr.getvalue().splitlines()
+                  if line.startswith("error:")]
+        assert code in (0, 1, 2)
+        assert len(errors) == (code != 0)
+        if code == 2:
+            assert errors[0].startswith(f"error: {cfg}: {section}: ")
 
     def test_flag_is_checked_without_a_file(self, command_lines, capsys):
         assert main([*command_lines["predict"], "--sg-frame", "60"]) == 2

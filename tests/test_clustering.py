@@ -1,5 +1,6 @@
 """Subtractive clustering against the brute-force potential oracle."""
 
+import math
 import re
 import tracemalloc
 import warnings
@@ -45,12 +46,24 @@ class TestClusterConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ClusterConfig(**kwargs)
 
+    # an int past the float range is rejected before any float arithmetic
+    @pytest.mark.parametrize("name, value", [
+        ("ra", 10**400), ("rb", -10**400), ("eps_accept", 10**400),
+        ("ra", math.nan), ("eps_reject", -math.inf),
+    ], ids=["ra-huge-integer", "rb-huge-negative-integer", "eps-accept-huge-integer",
+            "ra-nan", "eps-reject-minus-inf"])
+    def test_non_finite_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number, "
+                                             f"got {re.escape(repr(value))}$"):
+            ClusterConfig(**{name: value})
+
     @pytest.mark.parametrize("kwargs, name", [
         ({"ra": 1e-200}, "ra"),          # ra**2 underflows to 0
         ({"ra": 1e-160}, "ra"),          # 4 / ra**2 overflows
         ({"ra": 1e308}, "ra"),           # ra**2 overflows
         ({"ra": 1.2e154}, "rb"),         # the default rb = 1.25 ra: rb**2 overflows
         ({"ra": 0.5, "rb": 1e300}, "rb"),
+        ({"ra": 10**200}, "ra"),         # an int square past the float range
     ])
     def test_radius_outside_float_range_named(self, kwargs, name):
         with warnings.catch_warnings():

@@ -150,10 +150,10 @@ class TestLoadIms:
         with pytest.raises(LoadError, match="channel"):
             list(iter_ims(root, channel=5))
 
-    @pytest.mark.parametrize("channel", [-1, -5, 1.0, 2.5])
+    @pytest.mark.parametrize("channel", [-1, -5, 1.0, 2.5, True, False])
     def test_negative_channel_rejected(self, tmp_path, channel):
         # -1 would otherwise read the last column, -5 index past the first;
-        # a float is no column index even when it is whole
+        # a float is no column index even when it is whole, nor a boolean
         root, _ = make_ims_dir(tmp_path, ["2003.10.22.12.06.24"])
         path = re.escape(str(root / "2003.10.22.12.06.24"))
         with pytest.raises(LoadError, match=rf"^{path}:1: channel {channel} out of "
@@ -268,7 +268,7 @@ class TestFastPath:
     @settings(max_examples=150, deadline=None)
     @given(text=signal_text(widths=[1, 2, 4, 8], separators=["\t"],
                             other_separators=[",", " ", "\t\t"]),
-           channel=st.integers(-1, 8) | st.sampled_from([1.0, 2.5]))
+           channel=st.integers(-1, 8) | st.sampled_from([1.0, 2.5, True, False]))
     def test_ims_same_as_line_parser(self, text, channel):
         with tempfile.TemporaryDirectory() as tmp, \
                 mock.patch.object(datasets, "IMS_WINDOW_LEN", SHORT_WINDOW):

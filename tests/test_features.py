@@ -49,6 +49,8 @@ class TestFeatureParams:
         ("ae_r_tol", math.inf, "ae_r_tol must be a finite number, got inf"),
         ("ae_r_tol", "x", "ae_r_tol must be a finite number, got 'x'"),
         ("ae_r_tol", True, "ae_r_tol must be a finite number, got True"),
+        # an int past the float range is rejected, not converted
+        ("ae_r_tol", 10**400, f"ae_r_tol must be a finite number, got {10**400}"),
         ("lle_embed_dim", 0, "lle_embed_dim must be at least 1, got 0"),
         ("lle_embed_dim", 5.0, "lle_embed_dim must be an integer, got 5.0"),
         ("lle_lag", 0, "lle_lag must be at least 1, got 0"),
@@ -68,17 +70,19 @@ class TestFeatureParams:
         ("diae_baseline_frac", 1, "diae_baseline_frac must lie in (0, 1), got 1"),
         ("diae_baseline_frac", "0.1", "diae_baseline_frac must be a finite number, "
                                       "got '0.1'"),
+        ("diae_baseline_frac", -10**400, "diae_baseline_frac must be a finite number"),
         # a negative stride cap would reverse the window
         ("max_points", -600, "max_points must be at least 0, got -600"),
         ("max_points", 600.0, "max_points must be an integer, got 600.0"),
     ], ids=["ae-m-zero", "ae-m-float", "ae-m-null", "ae-m-boolean", "ae-r-tol-zero",
-            "ae-r-tol-inf", "ae-r-tol-string", "ae-r-tol-boolean", "lle-embed-dim-zero",
-            "lle-embed-dim-float", "lle-lag-zero", "lle-lag-float", "lle-mean-period-negative",
-            "lle-mean-period-float", "lle-fit-range-empty", "lle-fit-range-negative",
-            "lle-fit-range-float", "lle-fit-range-triple", "lle-fit-range-booleans",
-            "lle-fit-range-number", "cd-embed-dim-zero",
+            "ae-r-tol-inf", "ae-r-tol-string", "ae-r-tol-boolean", "ae-r-tol-huge-integer",
+            "lle-embed-dim-zero", "lle-embed-dim-float", "lle-lag-zero", "lle-lag-float",
+            "lle-mean-period-negative", "lle-mean-period-float", "lle-fit-range-empty",
+            "lle-fit-range-negative", "lle-fit-range-float", "lle-fit-range-triple",
+            "lle-fit-range-booleans", "lle-fit-range-number", "cd-embed-dim-zero",
             "cd-embed-dim-string", "cd-lag-zero", "cd-lag-float", "diae-baseline-frac-one",
-            "diae-baseline-frac-string", "max-points-negative", "max-points-float"])
+            "diae-baseline-frac-string", "diae-baseline-frac-huge-integer",
+            "max-points-negative", "max-points-float"])
     def test_bad_value_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             FeatureParams(**{field: value})

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from fisrul.clustering import ClusterConfig, ClusterSet, TrainingTable, subtractive_cluster
 from fisrul.datasets import synth_bearing
+from fisrul.errors import ConfigError
 from fisrul.fis import (
     TSFISModel,
     build_design_matrix,
@@ -398,6 +400,20 @@ class TestPersistence:
         again = json.loads((tmp_path / "again.json").read_text())
         assert again["rules"] == [{k: v for k, v in r.items() if k != "weight"}
                                   for r in rules]
+
+    @pytest.mark.parametrize("text, message", [
+        # json reads it, but math.isfinite or float() would overflow on it
+        ("1" + "0" * 400, "rule 0: b: expected a finite number, got 1" + "0" * 400),
+        # past Python's 4300-digit int limit json itself raises ValueError
+        ("1" + "0" * 5000, "not a JSON document: "),
+    ], ids=["401-digits", "5001-digits"])
+    def test_huge_integer_rejected_by_name(self, text, message, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"schema_version": 1, "variant": "baseline", '
+                        '"feature_set": ["f1"], "sigmas": [0.5], "rules": '
+                        f'[{{"center": [0.1], "a": [0.3], "b": {text}}}]}}')
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}"):
+            load_model(path)
 
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "model.json"
