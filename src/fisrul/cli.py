@@ -62,7 +62,7 @@ def _settings(args) -> dict:
         with open(path) as fh:
             try:
                 doc = json.load(fh)
-            except ValueError as exc:  # also digits past Python's int limit
+            except (ValueError, RecursionError) as exc:  # too many digits or levels
                 raise ConfigError(f"{path}: not a JSON document: {exc}") from None
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: expected a JSON object, got {doc!r}")

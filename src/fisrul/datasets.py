@@ -200,6 +200,8 @@ def synth_bearing(seed: int, regimes: int = 3, lifetime: float = 1200.0,
         raise ValueError(f"n_features must be at least 1, got {n_features}")
     if not lifetime > 0:
         raise ValueError(f"lifetime must be positive, got {lifetime}")
+    if not 0.0 <= noise <= float(np.finfo(float).max):  # NaN and 10**400 fail too
+        raise ValueError(f"noise must be a finite number >= 0, got {noise}")
     if not 0.0 <= start_frac < 1.0:
         raise ValueError(f"start_frac must lie in [0, 1), got {start_frac}")
     rng = np.random.default_rng(seed)

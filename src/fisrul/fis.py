@@ -27,16 +27,19 @@ from .mixture import (
     weighted_firing_matrix,
 )
 
-MODEL_SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 2
+ARRAY_KEYS = ("sigmas", "centers", "slopes", "offsets")
+TIME_KEYS = ("priors", "centroids", "variances")  # time_params: null or these
+MODEL_KEYS = ("schema_version", "feature_set", *ARRAY_KEYS, "time_params", "provenance")
 
 # Relative singular-value cutoff for the consequent least-squares solve.
 SVD_RCOND = 1e-10
 
 
 class Rule(NamedTuple):
-    """Read-only view of one rule: input center, affine consequent
-    ``a . v + b`` and, for weighted models, its prior and time cluster.
-    The fields are a model file's rule keys, the first three for every file."""
+    """Read-only view of one rule, taken from a model's arrays: input center,
+    affine consequent ``a . v + b`` and, for weighted models, its prior and
+    time cluster."""
 
     center: np.ndarray
     a: np.ndarray
@@ -241,14 +244,15 @@ def identify_weighted(table: TrainingTable, clusters: ClusterSet,
 
 
 def save_model(model: TSFISModel, path) -> None:
-    """Persist the model as a versioned JSON document (full float precision)."""
+    """Persist the model's arrays as a versioned JSON document (full float
+    precision); ``time_params`` is null for a baseline model."""
+    tp = model.time_params
     doc = {
         "schema_version": MODEL_SCHEMA_VERSION,
-        "variant": model.variant,
         "feature_set": list(model.feature_set),
-        "sigmas": [float(s) for s in model.sigmas],
-        "rules": [{**rule._asdict(), "center": rule.center.tolist(),
-                   "a": rule.a.tolist()} for rule in model.rules],
+        **{key: getattr(model, key).tolist() for key in ARRAY_KEYS},
+        "time_params": None if tp is None else {
+            key: getattr(tp, key).tolist() for key in TIME_KEYS},
         "provenance": model.provenance,
     }
     with open(path, "w") as fh:
@@ -256,69 +260,58 @@ def save_model(model: TSFISModel, path) -> None:
         fh.write("\n")
 
 
-def _numbers(value, where: str, size: int | None = None):
-    """Check that ``value`` is a finite JSON number (size None) or a list of
-    ``size`` of them; ConfigError naming ``where`` otherwise."""
-    items = [value] if size is None else value
-    if not (isinstance(items, list) and (size is None or len(items) == size)
-            and all(type(x) in (int, float) and abs(x) <= sys.float_info.max
-                    for x in items)):
-        expected = "a finite number" if size is None else f"a list of {size} finite numbers"
-        raise ConfigError(f"{where}: expected {expected}, got {value!r}")
+def _keys(obj, keys, where: str) -> None:
+    """ConfigError naming ``where`` unless ``obj`` is an object with exactly
+    the given keys."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object, got {obj!r}")
+    for problem, names in (("missing", [k for k in keys if k not in obj]),
+                           ("unknown", [k for k in obj if k not in keys])):
+        if names:
+            raise ConfigError(f"{where}: {problem} key(s) {names}")
+
+
+def _numbers(value, where: str) -> np.ndarray:
+    """``value`` as a float array if it is a JSON number or nested lists of
+    them, each finite and none a boolean; ConfigError naming ``where``
+    otherwise.  Shapes are left to TSFISModel and TimeClusterParams."""
+    cells = np.array(value, dtype=object)  # a ragged list keeps list cells
+    if not all(type(x) in (int, float) and abs(x) <= sys.float_info.max
+               for x in cells.ravel()):
+        raise ConfigError(f"{where}: expected an array of finite numbers, got {value!r}")
+    return cells.astype(float)
 
 
 def load_model(path) -> TSFISModel:
     """Load a model persisted by save_model; inference round-trips exactly.
 
-    A malformed document raises ConfigError naming the file and, for a bad
-    rule, its index.  Schema-v1 rules written by earlier versions carry
-    ``"weight": 1.0``; any other rule weight is rejected, since the model
-    has no rule weights.
+    Only schema 2, the arrays layout, is read: a schema-1 file (one object
+    per rule) is refused, and re-running ``fisrul train`` writes a new one.
+    A malformed document raises ConfigError naming the file and the key.
     """
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # also digits past Python's int limit
+        except (ValueError, RecursionError) as exc:  # too many digits or levels
             raise ConfigError(f"{path}: not a JSON document: {exc}") from None
     version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != MODEL_SCHEMA_VERSION:
-        raise ConfigError(f"{path}: unsupported model schema version: {version}")
-    missing = [k for k in ("variant", "feature_set", "sigmas", "rules") if k not in doc]
-    if missing:
-        raise ConfigError(f"{path}: missing key(s) {missing}")
-    sigmas, rules = doc["sigmas"], doc["rules"]
-    n = len(sigmas) if isinstance(sigmas, list) else -1
-    _numbers(sigmas, f"{path}: sigmas", n)
-    names = doc["feature_set"]
+        raise ConfigError(f"{path}: unsupported model schema version: {version} (re-run "
+                          f"`fisrul train` to write version {MODEL_SCHEMA_VERSION})")
+    _keys(doc, MODEL_KEYS, str(path))
+    names, tp, provenance = doc["feature_set"], doc["time_params"], doc["provenance"]
     if not (isinstance(names, list) and all(isinstance(x, str) for x in names)):
         raise ConfigError(f"{path}: feature_set: expected a list of names, got {names!r}")
-    if not isinstance(rules, list) or not rules:
-        raise ConfigError(f"{path}: rules must be a non-empty list")
-    if doc["variant"] not in ("baseline", "weighted"):
-        raise ConfigError(f"{path}: unknown variant {doc['variant']!r}")
-    keys = Rule._fields if doc["variant"] == "weighted" else Rule._fields[:3]
-    for j, rule in enumerate(rules):
-        where = f"{path}: rule {j}"
-        missing = [k for k in keys if not isinstance(rule, dict) or rule.get(k) is None]
-        if missing:
-            raise ConfigError(f"{where}: missing key(s) {missing}")
-        if (weight := rule.get("weight", 1.0)) is True or weight != 1.0:
-            raise ConfigError(f"{where}: rule weight {weight!r} is not "
-                              "supported (only 1.0)")
-        for key in keys:
-            _numbers(rule[key], f"{where}: {key}", n if key in Rule._fields[:2] else None)
-
-    if not isinstance(provenance := doc.get("provenance", {}), dict):
+    if not isinstance(provenance, dict):
         raise ConfigError(f"{path}: provenance: expected an object, got {provenance!r}")
-    centers, slopes, offsets, *time_columns = (
-        np.array([rule[key] for rule in rules], dtype=float) for key in keys)
+    if tp is not None:
+        _keys(tp, TIME_KEYS, f"{path}: time_params")
+        tp = {key: _numbers(tp[key], f"{path}: time_params: {key}") for key in TIME_KEYS}
+    arrays = {key: _numbers(doc[key], f"{path}: {key}") for key in ARRAY_KEYS}
     try:
         return TSFISModel(
-            centers=centers,
-            slopes=slopes,
-            offsets=offsets,
-            sigmas=np.array(sigmas, dtype=float),
-            time_params=TimeClusterParams(*time_columns) if time_columns else None,
+            **arrays,
+            time_params=None if tp is None else TimeClusterParams(**tp),
             feature_set=tuple(names),
             provenance=provenance,
         )

@@ -34,10 +34,13 @@ class TimeClusterParams:
         object.__setattr__(self, "priors", np.asarray(self.priors, dtype=float))
         object.__setattr__(self, "centroids", np.asarray(self.centroids, dtype=float))
         object.__setattr__(self, "variances", np.asarray(self.variances, dtype=float))
-        if not (self.priors.shape == self.centroids.shape == self.variances.shape):
-            raise ValueError("prior/centroid/variance lengths differ")
-        if abs(self.priors.sum() - 1.0) > 1e-9:
-            raise ValueError(f"priors must sum to 1, got {self.priors.sum()}")
+        p = self.priors
+        if not (p.ndim == 1 and p.shape == self.centroids.shape == self.variances.shape):
+            raise ValueError("priors, centroids and variances must be 1-D, of one length")
+        if not (((p >= 0.0) & (p <= 1.0)).all() and abs(p.sum() - 1.0) <= 1e-9):
+            raise ValueError(f"priors must lie in [0, 1] and sum to 1, got {p.tolist()}")
+        if not np.isfinite(self.centroids).all():
+            raise ValueError(f"time centroids must be finite, got {self.centroids.tolist()}")
         if (self.variances <= 0.0).any():
             raise ValueError("time variances must be strictly positive")
         with np.errstate(over="ignore"):

@@ -218,8 +218,8 @@ class TestTrainCommand:
         out = capsys.readouterr().out
         assert "rules:" in out and "priors:" in out and "time centroids:" in out
         doc = json.loads(model_path.read_text())
-        assert doc["variant"] == "weighted"
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2 and "variant" not in doc
+        assert set(doc["time_params"]) == {"priors", "centroids", "variances"}
         assert doc["provenance"]["config"]["cluster"]["ra"] == 0.5
 
     def test_training_deterministic(self, synth_csvs, tmp_path):
@@ -262,8 +262,8 @@ class TestTrainCommand:
                      "--out", str(model_path)]) == 0
         lines = dump.read_text().strip().splitlines()
         assert lines[0] == "c_f1,c_f2,c_star"
-        rules = json.loads(model_path.read_text())["rules"]
-        assert len(lines) == 1 + len(rules)
+        centers = json.loads(model_path.read_text())["centers"]
+        assert len(lines) == 1 + len(centers)
 
     def test_config_file_sets_radius_and_flag_overrides(self, synth_csvs, tmp_path):
         config = tmp_path / "config.json"
@@ -327,13 +327,71 @@ class TestPredictCommand:
         assert code == 2
 
 
+# A model file in the schema-1 layout: one object per rule, and a variant key.
+SCHEMA_V1_DOCUMENT = {
+    "schema_version": 1, "variant": "weighted", "feature_set": ["f1", "f2"],
+    "sigmas": [0.5, 0.8], "provenance": {},
+    "rules": [{"center": [0.1, 0.2], "a": [0.3, -0.1], "b": 0.2, "weight": 1.0,
+               "prior": 0.25, "time_centroid": 100.0, "time_variance": 400.0},
+              {"center": [0.9, 1.1], "a": [0.1, 0.4], "b": -0.1, "weight": 1.0,
+               "prior": 0.75, "time_centroid": 700.0, "time_variance": 2500.0}]}
+
+
+def negative_prior(doc):
+    """Move mass from the second prior to the first, so the priors still sum
+    to 1 but the second is negative."""
+    priors = doc["time_params"]["priors"]
+    priors[0] += priors[1] + 0.5
+    priors[1] = -0.5
+
+
+@pytest.fixture(scope="module")
+def tiny_models(tmp_path_factory):
+    """Model text of each variant, trained on a 40-row synth table, and a
+    40-row test table to predict on."""
+    tmp = tmp_path_factory.mktemp("tiny")
+    train, test = tmp / "train.csv", tmp / "test.csv"
+    for seed, out in ((0, train), (100, test)):
+        assert main(["synth", "--seed", str(seed), "--n-obs", "40",
+                     "--out", str(out)]) == 0
+    texts = {}
+    for variant in ("baseline", "weighted"):
+        model = tmp / f"{variant}.json"
+        assert main(["train", "--train", str(train), "--variant", variant,
+                     "--out", str(model)]) == 0
+        texts[variant] = model.read_text()
+    return texts, test
+
+
+def json_nodes(node, path=()):
+    """(key path, value) of every object member and list item below
+    ``node``, skipping the contents of the free-form provenance block."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,), child
+        if key != "provenance":
+            yield from json_nodes(child, path + (key,))
+
+
+# One change to a saved model: a structural edit, or a leaf replaced by a value.
+MODEL_MUTATIONS = ["drop", "truncate", "extend", "nest",
+                   None, True, "x", 10**400, 1e-320, -1, []]
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize("edit, message", [
-        (lambda doc: doc["rules"][0].pop("b"), "rule 0: "),
-        (lambda doc: doc["rules"][0]["a"].append(0.5), "rule 0: "),
-        (lambda doc: doc["rules"][0].update(
-            center=["x"] * len(doc["rules"][0]["center"])), "rule 0: "),
-        (lambda doc: doc["rules"][0].update(weight=0.5), "rule 0: "),
+        (lambda doc: doc.pop("offsets"), "missing key(s) ['offsets']"),
+        (lambda doc: doc["offsets"].append(0.5),
+         "slopes, offsets and sigmas do not match the J x I centers"),
+        (lambda doc: doc["centers"].__setitem__(0, ["x"] * len(doc["centers"][0])),
+         "centers: expected an array of finite numbers, got [['x', 'x'], "),
+        # the file has no rule weights: a weight key is refused like any other
+        (lambda doc: doc.update(weight=0.5), "unknown key(s) ['weight']"),
         (lambda doc: doc.update(feature_set=5),
          "feature_set: expected a list of names, got 5"),
         (lambda doc: doc.update(feature_set="f1f2"),
@@ -342,22 +400,45 @@ class TestMalformedInputs:
          "feature_set has 1 name(s) for 2 feature columns"),
         (lambda doc: doc["sigmas"].__setitem__(0, 1e-320),
          "membership spreads must have a finite 1/sigma^2, got [1e-320]"),
-        (lambda doc: doc["rules"][0].update(time_variance=1e-320),
+        (lambda doc: doc["time_params"]["variances"].__setitem__(0, 1e-320),
          "time variances must have a finite 1/(2 variance), got [1e-320]"),
-        (lambda doc: doc.pop("rules"), "missing key(s) ['rules']"),
-        (lambda doc: doc.update(rules=[]), "rules must be a non-empty list"),
-        (lambda doc: doc.update(variant="foo"), "unknown variant 'foo'"),
-        # true == 1.0 in Python, but a JSON boolean is no rule weight
-        (lambda doc: doc["rules"][0].update(weight=True),
-         "rule 0: rule weight True is not supported (only 1.0)"),
+        (lambda doc: doc.pop("centers"), "missing key(s) ['centers']"),
+        (lambda doc: doc.update(centers=[]),
+         "model needs a J x I center matrix, J and I >= 1"),
+        # the variant is read from time_params, so a variant key is unknown
+        (lambda doc: doc.update(variant="foo"), "unknown key(s) ['variant']"),
+        # true == 1.0 in Python, but a JSON boolean is no number
+        (lambda doc: doc["offsets"].__setitem__(0, True),
+         "offsets: expected an array of finite numbers, got [True, "),
         (lambda doc: doc.update(provenance=5), "provenance: expected an object, got 5"),
-        (lambda doc: doc["rules"][0].update(b=10**400),
-         f"rule 0: b: expected a finite number, got {10**400}"),
+        (lambda doc: doc["offsets"].__setitem__(0, 10**400),
+         f"offsets: expected an array of finite numbers, got [{10**400}, "),
+        (lambda doc: (doc.clear(), doc.update(SCHEMA_V1_DOCUMENT)),
+         "unsupported model schema version: 1 (re-run `fisrul train` to write "
+         "version 2)"),
+        (lambda doc: doc["time_params"].pop("priors"),
+         "time_params: missing key(s) ['priors']"),
+        (lambda doc: doc["time_params"].update(weights=[1.0]),
+         "time_params: unknown key(s) ['weights']"),
+        (lambda doc: doc.update(time_params="weighted"),
+         "time_params: expected an object, got 'weighted'"),
+        # all three nested one level deeper, so their shapes still agree
+        (lambda doc: doc["time_params"].update(
+            {key: [value] for key, value in doc["time_params"].items()}),
+         "priors, centroids and variances must be 1-D, of one length"),
+        (negative_prior, "priors must lie in [0, 1] and sum to 1, got ["),
+        (lambda doc: doc["time_params"]["priors"].__setitem__(0, math.nan),
+         "time_params: priors: expected an array of finite numbers, got [nan, "),
+        (lambda doc: doc["slopes"][0].append(0.5),
+         "slopes: expected an array of finite numbers, got [["),
     ], ids=["missing-key", "wrong-length", "non-numeric", "rule-weight",
             "feature-set-number", "feature-set-string", "feature-set-too-short",
             "sigma-reciprocal-overflows", "time-variance-reciprocal-overflows",
-            "missing-rules", "no-rules", "unknown-variant", "boolean-rule-weight",
-            "provenance-not-an-object", "huge-integer-offset"])
+            "missing-rules", "no-rules", "unknown-variant", "boolean-offset",
+            "provenance-not-an-object", "huge-integer-offset", "schema-v1-document",
+            "time-params-missing-key", "time-params-extra-key",
+            "time-params-not-an-object", "priors-2d", "negative-prior", "nan-prior",
+            "ragged-slopes"])
     def test_bad_model_rule_exits_2(self, edit, message, synth_csvs, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         assert main(["train", "--train", str(synth_csvs["train_a"]),
@@ -373,12 +454,14 @@ class TestMalformedInputs:
 
     def test_model_not_json_exits_2(self, synth_csvs, tmp_path, capsys):
         model_path = tmp_path / "model.json"
-        model_path.write_text("rules: 1\n")
-        code = main(["predict", "--model", str(model_path), "--input",
-                     str(synth_csvs["test_a"]), "--out", str(tmp_path / "p.csv")])
-        assert code == 2
-        assert capsys.readouterr().err.startswith(
-            f"error: {model_path}: not a JSON document: ")
+        # the second text nests past Python's recursion limit
+        for text in ("rules: 1\n", "[" * 100000 + "]" * 100000):
+            model_path.write_text(text)
+            code = main(["predict", "--model", str(model_path), "--input",
+                         str(synth_csvs["test_a"]), "--out", str(tmp_path / "p.csv")])
+            assert code == 2
+            assert capsys.readouterr().err.startswith(
+                f"error: {model_path}: not a JSON document: ")
 
     def test_model_integer_past_digit_limit_exits_2(self, synth_csvs, tmp_path, capsys):
         model_path = tmp_path / "model.json"
@@ -413,6 +496,45 @@ class TestMalformedInputs:
         code = main(["train", "--train", str(bad), "--out", str(tmp_path / "m.json")])
         assert code == 2
         assert f"error: {bad}:6: column " in capsys.readouterr().err
+
+    @settings(max_examples=150, deadline=None)
+    @given(variant=st.sampled_from(["baseline", "weighted"]),
+           change=st.sampled_from(MODEL_MUTATIONS), data=st.data())
+    def test_mutated_model_never_ends_in_a_traceback(self, variant, change, data,
+                                                     tiny_models):
+        texts, test = tiny_models
+        doc = json.loads(texts[variant])
+        resize = change in ("truncate", "extend")
+        *parents, key = data.draw(st.sampled_from(
+            [path for path, value in json_nodes(doc)
+             if isinstance(value, list) or not resize]))
+        holder = doc
+        for step in parents:
+            holder = holder[step]
+        if change == "drop":
+            del holder[key]
+        elif change == "truncate":
+            holder[key].pop()
+        elif change == "extend":
+            holder[key].append(holder[key][-1])
+        elif change == "nest":
+            holder[key] = [holder[key]]
+        else:
+            holder[key] = change
+        model = test.with_name(f"drawn-{variant}.json")
+        model.write_text(json.dumps(doc))
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main(["predict", "--model", str(model), "--input", str(test),
+                         "--out", str(test.with_name("drawn.csv"))])
+        errors = [line for line in stderr.getvalue().splitlines()
+                  if line.startswith("error:")]
+        assert code in (0, 1, 2)
+        assert len(errors) == (code != 0)
+        # numpy's floating-point warnings read "... encountered in ..."
+        assert code or not [w for w in caught if "encountered" in str(w.message)]
 
     def test_repeated_column_name_exits_2(self, synth_csvs, tmp_path, capsys):
         lines = synth_csvs["train_a"].read_text().splitlines()
@@ -525,6 +647,14 @@ class TestSynthCommand:
         assert f"error: n_obs must be at least 1, got {n_obs}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
+    def test_bad_noise_exits_1(self, tmp_path, capsys, noise):
+        out = tmp_path / "s.csv"
+        assert main(["synth", "--noise", noise, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == \
+            f"error: noise must be a finite number >= 0, got {float(noise)}"
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_features", ["0", "-2"])
     def test_no_features_exits_1(self, tmp_path, capsys, n_features):
         out = tmp_path / "s.csv"
@@ -571,11 +701,16 @@ class TestPackaging:
         exe = shutil.which("fisrul")
         if exe is None:
             pytest.skip("console script not installed")
-        out = tmp_path / "s.csv"
-        done = subprocess.run([exe, "synth", "--seed", "1", "--out", str(out)],
-                              capture_output=True, text=True)
-        assert done.returncode == 0
-        assert out.exists()
+        out, model = tmp_path / "s.csv", tmp_path / "m.json"
+        for argv in (["synth", "--seed", "1", "--out", str(out)],
+                     ["train", "--train", str(out), "--out", str(model)],
+                     ["predict", "--model", str(model), "--input", str(out),
+                      "--out", str(tmp_path / "p.csv")]):
+            done = subprocess.run([exe, *argv], capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+        doc = json.loads(model.read_text())
+        assert doc["schema_version"] == 2 and "variant" not in doc
+        assert len((tmp_path / "p.csv").read_text().splitlines()) == 121
         bad = subprocess.run([exe, "features", "--input", str(tmp_path),
                               "--format", "phm", "--features", "bogus",
                               "--out", str(tmp_path / "x.csv")],
@@ -722,10 +857,13 @@ class TestMalformedConfig:
         ('{"version": 2}', "unsupported config version: 2"),
         # past Python's 4300-digit int limit json raises a plain ValueError
         ('{"cluster": {"ra": 1' + "0" * 5000 + "}}", "not a JSON document: "),
+        # past Python's recursion limit json raises RecursionError
+        ('{"cluster": {"ra": ' + "[" * 100000 + "]" * 100000 + "}}",
+         "not a JSON document: maximum recursion depth exceeded"),
     ], ids=["not-an-object", "cluster-not-an-object", "filter-not-an-object",
             "non-numeric", "boolean", "non-integer-frame", "unknown-cluster-key",
             "unknown-filter-key", "invalid-json", "unsupported-version",
-            "integer-past-digit-limit"])
+            "integer-past-digit-limit", "nested-past-recursion-limit"])
     def test_benchmark_names_file_and_key(self, text, message, synth_csvs,
                                           tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,5 +1,6 @@
 """Dataset loaders (desk-scale fixtures) and the synthetic generator."""
 
+import math
 import re
 import tempfile
 import warnings
@@ -350,6 +351,11 @@ class TestSynthBearing:
             synth_bearing(0, lifetime=0.0)
         with pytest.raises(ValueError):
             synth_bearing(0, start_frac=1.0)
+
+    @pytest.mark.parametrize("noise", [math.nan, math.inf, -1.0, 10**400])
+    def test_bad_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match="^noise must be a finite number >= 0, got "):
+            synth_bearing(0, noise=noise)
 
     @pytest.mark.parametrize("n_obs", [0, -3])
     def test_no_observations_rejected(self, n_obs):

@@ -220,6 +220,20 @@ class TestInfer:
             with pytest.raises(ValueError, match=r"finite 1/\(2 variance\), got \["):
                 TimeClusterParams([1.0], [50.0], [variance])
 
+    @pytest.mark.parametrize("priors, centroids, message", [
+        ([math.nan, 1.0], [10.0, 20.0], r"priors must lie in \[0, 1\] and sum to 1"),
+        ([1.5, -0.5], [10.0, 20.0], r"priors must lie in \[0, 1\] and sum to 1, "
+                                    r"got \[1.5, -0.5\]"),
+        ([0.5, 0.5], [math.nan, 20.0], r"time centroids must be finite, got \[nan"),
+        ([0.5, 0.5], [10.0, -math.inf], r"time centroids must be finite, got \[10.0"),
+        ([[0.5, 0.5]], [[10.0, 20.0]], "must be 1-D, of one length"),
+    ], ids=["nan-prior", "negative-prior", "nan-centroid", "infinite-centroid",
+            "two-dimensional"])
+    def test_bad_time_parameters_rejected(self, priors, centroids, message):
+        variances = np.ones(np.shape(priors))
+        with pytest.raises(ValueError, match=message):
+            TimeClusterParams(priors, centroids, variances)
+
     def test_smallest_spreads_in_range_accepted(self):
         model = single_rule_model([0.0], 0.5, sigma=(1e-150,), variant="weighted")
         assert model.sigmas[0] == 1e-150
@@ -373,45 +387,23 @@ class TestPersistence:
         np.testing.assert_array_equal(
             predict_table(loaded, table.features, table.taus),
             predict_table(model, table.features, table.taus))
-        assert all("weight" not in rule
-                   for rule in json.loads(path.read_text())["rules"])
-
-    def test_schema_v1_document_with_unit_weights_round_trips(self, tmp_path, rng):
-        rules = [
-            {"center": [0.1, 0.2], "a": [0.3, -0.1], "b": 0.2, "weight": 1.0,
-             "prior": 0.25, "time_centroid": 100.0, "time_variance": 400.0},
-            {"center": [0.9, 1.1], "a": [0.1, 0.4], "b": -0.1, "weight": 1.0,
-             "prior": 0.75, "time_centroid": 700.0, "time_variance": 2500.0},
-        ]
-        doc = {"schema_version": 1, "variant": "weighted",
-               "feature_set": ["f1", "f2"], "sigmas": [0.5, 0.8],
-               "rules": rules, "provenance": {}}
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps(doc))
-        loaded = load_model(path)
-        expected = array_model(
-            [[0.1, 0.2], [0.9, 1.1]], [[0.3, -0.1], [0.1, 0.4]], [0.2, -0.1],
-            [0.5, 0.8], TimeClusterParams([0.25, 0.75], [100.0, 700.0],
-                                          [400.0, 2500.0]))
-        x, taus = rng.uniform(0.0, 1.2, size=(20, 2)), np.linspace(0, 1000, 20)
-        np.testing.assert_array_equal(predict_table(loaded, x, taus),
-                                      predict_table(expected, x, taus))
-        save_model(loaded, tmp_path / "again.json")
-        again = json.loads((tmp_path / "again.json").read_text())
-        assert again["rules"] == [{k: v for k, v in r.items() if k != "weight"}
-                                  for r in rules]
+        doc = json.loads(path.read_text())
+        assert doc.keys() == {"schema_version", "feature_set", "sigmas", "centers",
+                              "slopes", "offsets", "time_params", "provenance"}
+        assert (doc["time_params"] is None) == (identify is identify_baseline)
 
     @pytest.mark.parametrize("text, message", [
         # json reads it, but math.isfinite or float() would overflow on it
-        ("1" + "0" * 400, "rule 0: b: expected a finite number, got 1" + "0" * 400),
+        ("1" + "0" * 400,
+         "offsets: expected an array of finite numbers, got [1" + "0" * 400 + "]"),
         # past Python's 4300-digit int limit json itself raises ValueError
         ("1" + "0" * 5000, "not a JSON document: "),
     ], ids=["401-digits", "5001-digits"])
     def test_huge_integer_rejected_by_name(self, text, message, tmp_path):
         path = tmp_path / "model.json"
-        path.write_text('{"schema_version": 1, "variant": "baseline", '
-                        '"feature_set": ["f1"], "sigmas": [0.5], "rules": '
-                        f'[{{"center": [0.1], "a": [0.3], "b": {text}}}]}}')
+        path.write_text('{"schema_version": 2, "feature_set": ["f1"], "sigmas": [0.5], '
+                        '"centers": [[0.1]], "slopes": [[0.3]], '
+                        f'"offsets": [{text}], "time_params": null, "provenance": {{}}}}')
         with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}"):
             load_model(path)
 
