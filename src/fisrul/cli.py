@@ -30,8 +30,8 @@ from .features import (
     write_feature_csv,
 )
 from .fis import identify_baseline, identify_weighted, load_model, save_model
-from .rul import (SG_FRAME, SG_ORDER, check_filter, evaluate_model, rul_curves,
-                  write_curves_csv, write_summary_csv)
+from .rul import (check_filter, evaluate_model, rul_curves, write_curves_csv,
+                  write_summary_csv)
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -42,14 +42,9 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _filter(sg_order: int = SG_ORDER, sg_frame: int = SG_FRAME) -> tuple[int, int]:
-    check_filter(sg_order, sg_frame)
-    return sg_order, sg_frame
-
-
 # Config sections and what builds each; a builder's parameters are the
 # section's keys, and their defaults the defaults.
-SECTIONS = {"cluster": ClusterConfig, "features": FeatureParams, "filter": _filter}
+SECTIONS = {"cluster": ClusterConfig, "features": FeatureParams, "filter": check_filter}
 
 
 def _settings(args) -> dict:
@@ -99,41 +94,24 @@ def _provenance(datasets, cluster_config: ClusterConfig, variant: str) -> dict:
             "config": config, "config_hash": digest}
 
 
-def _read_tables(paths, purpose: str):
-    """Feature tables keyed by file stem.  Every file must carry the rho
-    column; ``purpose`` ("training", "evaluation") names the use in the error."""
+def _read_tables(paths, purpose: str | None, names=None):
+    """Feature tables keyed by file stem (by path when two stems collide), each
+    with the columns ``names`` (the model's; the first file's before training)
+    and, unless ``purpose`` ("training", "evaluation") is None, the rho column."""
     tables = {}
     for path in paths:
         table = read_feature_csv(path)
-        names = next(iter(tables.values()), table).feature_names
-        if table.feature_names != names:
-            raise ConfigError(
-                f"{path}: feature set {table.feature_names} does not match "
-                f"{names} from the first file")
         key = Path(path).stem
         if key in tables:  # same stem from different directories
             key = str(path)
-        if table.rho is None:
+        names = names or table.feature_names
+        if table.feature_names != names:
+            raise ConfigError(f"{key}: feature set {table.feature_names} does not "
+                              f"match the model's {names}")
+        if purpose and table.rho is None:
             raise ConfigError(f"{key}: {purpose} needs the rho column")
         tables[key] = table
     return tables
-
-
-def _check_feature_sets(model_names, tables) -> None:
-    """Every table, keyed by the name errors give it, has the model's columns."""
-    for where, table in tables.items():
-        if table.feature_names != model_names:
-            raise ConfigError(f"{where}: feature set {table.feature_names} does not "
-                              f"match the model's {model_names}")
-
-
-def _training_clusters(args, cluster_config: ClusterConfig, test_tables=None):
-    """Pooled training table and its clusters.  The feature columns of
-    ``test_tables`` are checked against the training ones (the model's)
-    before clustering."""
-    pooled = concat_tables(_read_tables(args.train, "training").values())
-    _check_feature_sets(pooled.feature_names, test_tables or {})
-    return pooled, subtractive_cluster(pooled, cluster_config)
 
 
 def cmd_features(args) -> int:
@@ -149,8 +127,9 @@ def cmd_features(args) -> int:
                 f"{args.input}: feature(s) {missing} not present in "
                 f"{table.feature_names}")
         columns = [table.feature_names.index(n) for n in names]
-        rho = None if args.unlabeled else table.rho
-        table = TrainingTable(table.features[:, columns], rho, table.taus, names)
+        table = TrainingTable(table.features[:, columns], taus=table.taus,
+                              rho=None if args.unlabeled else table.rho,
+                              feature_names=names)
     else:
         if args.format == "phm":
             windows = iter_phm(args.input)
@@ -167,7 +146,8 @@ def cmd_features(args) -> int:
 def cmd_train(args) -> int:
     start = time.perf_counter()
     cluster_config = _settings(args)["cluster"]
-    pooled, clusters = _training_clusters(args, cluster_config)
+    pooled = concat_tables(_read_tables(args.train, "training").values())
+    clusters = subtractive_cluster(pooled, cluster_config)
     if args.dump_clusters:
         write_csv(args.dump_clusters,
                   [f"c_{name}" for name in pooled.feature_names] + ["c_star"],
@@ -188,8 +168,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     order, frame = _settings(args)["filter"]
     model = load_model(args.model)
-    table = read_feature_csv(args.input)
-    _check_feature_sets(model.feature_set, {args.input: table})
+    (table,) = _read_tables([args.input], None, model.feature_set).values()
     raw, clamped, rul, smoothed = rul_curves(
         model, table.features, table.taus, order, frame)
     write_csv(args.out, ["k", "tau", "rho_hat", "rho_hat_clamped", "rul_hat",
@@ -203,8 +182,7 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     order, frame = _settings(args)["filter"]
     model = load_model(args.model)
-    tables = _read_tables(args.test, "evaluation")
-    _check_feature_sets(model.feature_set, tables)
+    tables = _read_tables(args.test, "evaluation", model.feature_set)
     report = evaluate_model(model, tables, sg_order=order, sg_frame=frame)
     write_curves_csv(report, f"{args.out}_curves.csv")
     write_summary_csv([report], f"{args.out}_summary.csv")
@@ -217,8 +195,9 @@ def cmd_evaluate(args) -> int:
 def cmd_benchmark(args) -> int:
     settings = _settings(args)
     order, frame = settings["filter"]
-    test_tables = _read_tables(args.test, "evaluation")
-    pooled, clusters = _training_clusters(args, settings["cluster"], test_tables)
+    pooled = concat_tables(_read_tables(args.train, "training").values())
+    test_tables = _read_tables(args.test, "evaluation", pooled.feature_names)
+    clusters = subtractive_cluster(pooled, settings["cluster"])
     reports = []
     for variant, identify in IDENTIFY.items():
         start = time.perf_counter()

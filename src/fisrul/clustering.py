@@ -24,11 +24,11 @@ _BLOCK_BYTES = 8 * 2**20
 
 @dataclass
 class TrainingTable:
-    """K observation rows: feature values, optional rho target, optional times."""
+    """K observation rows: feature values, optional rho target, and times."""
 
     features: np.ndarray                 # K x I
     rho: np.ndarray | None = None        # K
-    taus: np.ndarray | None = None       # K
+    taus: np.ndarray = field(kw_only=True)  # K
     feature_names: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -50,12 +50,11 @@ class TrainingTable:
                 raise ValueError("rho contains non-finite values")
             if ((self.rho < 0) | (self.rho > 1)).any():
                 raise ValueError("rho values must lie in [0, 1]")
-        if self.taus is not None:
-            self.taus = np.asarray(self.taus, dtype=float)
-            if self.taus.shape != (self.features.shape[0],):
-                raise ValueError("taus length does not match row count")
-            if not np.isfinite(self.taus).all():
-                raise ValueError("taus contains non-finite values")
+        self.taus = np.asarray(self.taus, dtype=float)
+        if self.taus.shape != (self.features.shape[0],):
+            raise ValueError("taus length does not match row count")
+        if not np.isfinite(self.taus).all():
+            raise ValueError("taus contains non-finite values")
 
     @property
     def n_rows(self) -> int:
@@ -84,11 +83,10 @@ def concat_tables(tables) -> TrainingTable:
             raise ValueError(
                 f"feature sets differ: {names} vs {t.feature_names}")
     has_rho = all(t.rho is not None for t in tables)
-    has_tau = all(t.taus is not None for t in tables)
     return TrainingTable(
         features=np.vstack([t.features for t in tables]),
         rho=np.concatenate([t.rho for t in tables]) if has_rho else None,
-        taus=np.concatenate([t.taus for t in tables]) if has_tau else None,
+        taus=np.concatenate([t.taus for t in tables]),
         feature_names=names,
     )
 

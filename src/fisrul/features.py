@@ -548,8 +548,6 @@ def write_feature_csv(path, table: TrainingTable) -> None:
     """
     if not table.feature_names:
         raise ConfigError("feature set is empty")
-    if table.taus is None:
-        raise ValueError("feature CSV needs observation times; the table has no taus")
     rhos = [None] * table.n_rows if table.rho is None else table.rho
     write_csv(path, ["k", "tau", *table.feature_names, "rho"],
               ([k, tau, *values, rho] for k, (tau, values, rho)
@@ -591,7 +589,7 @@ def read_feature_csv(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if not header or header[0] != "k" or header[1] != "tau" or header[-1] != "rho":
+        if not header or header[:2] != ["k", "tau"] or header[-1] != "rho":
             raise ConfigError(f"{path}: expected header k,tau,<features...>,rho")
         repeated = [name for i, name in enumerate(header) if name in header[:i]]
         if repeated:

@@ -233,8 +233,6 @@ def identify_weighted(table: TrainingTable, clusters: ClusterSet,
     """
     if table.rho is None:
         raise ValueError("identification requires labeled rows (rho present)")
-    if table.taus is None:
-        raise ValueError("weighted identification requires observation times")
     w = firing_matrix(table.features, clusters.input_centers, clusters.sigmas)
     time_params = estimate_time_clusters(table.taus, normalize_rows(w))
     wtil = weighted_firing_matrix(table.features, table.taus,

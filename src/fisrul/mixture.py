@@ -102,6 +102,12 @@ def estimate_time_clusters(taus, wbar) -> TimeClusterParams:
         raise ValueError("taus length must match the degree-matrix row count")
     if taus.size < 2:
         raise ValueError("need at least 2 observations to estimate time clusters")
+    # the sums below reach K max|tau| and K span^2; Python floats overflow quietly
+    lo, hi = float(taus.min()), float(taus.max())
+    span = hi - lo
+    if not taus.size * max(hi, -lo, span * span) < np.inf:
+        raise ValueError(f"observation times span [{lo}, {hi}]: too wide to estimate "
+                         f"time clusters over {taus.size} rows")
     if not np.allclose(w.sum(axis=1), 1.0, atol=1e-6):
         raise ValueError("each degree-matrix row must sum to 1")
 
@@ -115,7 +121,6 @@ def estimate_time_clusters(taus, wbar) -> TimeClusterParams:
     centroids = np.where(empty, taus.mean(), centroids)
     variances = (((taus[:, None] - centroids[None, :]) ** 2) * w).sum(axis=0) / safe_mass
 
-    span = float(taus.max() - taus.min())
     floor = (0.01 * span) ** 2 if span > 0.0 else 1.0
     degenerate = empty | (variances <= (1e-8 * max(span, 1.0)) ** 2)
     variances = np.where(degenerate, floor, variances)

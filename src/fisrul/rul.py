@@ -44,15 +44,18 @@ def rul_from_ratio(rho_hat: float, tau: float) -> float:
     return (1.0 / rho_hat - 1.0) * tau
 
 
-def check_filter(order: int, frame: int) -> None:
-    """ConfigError unless order and frame are integers, frame is odd and 0 <= order < frame."""
-    if not all(type(v) is not bool and isinstance(v, Integral) for v in (order, frame)):
-        raise ConfigError(f"filter order and frame must be integers, got {order!r}, {frame!r}")
-    if frame % 2 == 0:
-        raise ConfigError(f"filter frame length must be odd, got {frame}")
-    if not 0 <= order < frame:
+def check_filter(sg_order: int = SG_ORDER, sg_frame: int = SG_FRAME) -> tuple[int, int]:
+    """``(sg_order, sg_frame)``; ConfigError unless integers, frame odd, 0 <= order < frame."""
+    if not all(type(v) is not bool and isinstance(v, Integral)
+               for v in (sg_order, sg_frame)):
+        raise ConfigError(f"filter order and frame must be integers, "
+                          f"got {sg_order!r}, {sg_frame!r}")
+    if sg_frame % 2 == 0:
+        raise ConfigError(f"filter frame length must be odd, got {sg_frame}")
+    if not 0 <= sg_order < sg_frame:
         raise ConfigError(f"polynomial order must satisfy 0 <= order < frame "
-                          f"({frame}), got {order}")
+                          f"({sg_frame}), got {sg_order}")
+    return sg_order, sg_frame
 
 
 def savitzky_golay(series, order: int = SG_ORDER, frame: int = SG_FRAME) -> np.ndarray:
@@ -187,8 +190,6 @@ def evaluate_model(model: TSFISModel, tables, sg_order: int = SG_ORDER,
     for bearing_id, table in tables.items():
         if table.rho is None:
             raise ValueError(f"bearing {bearing_id}: evaluation needs labeled rows")
-        if table.taus is None:
-            raise ValueError(f"bearing {bearing_id}: evaluation needs observation times")
         try:
             raw, clamped, rul_hat, smoothed = rul_curves(
                 model, table.features, table.taus, sg_order, sg_frame)

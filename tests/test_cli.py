@@ -382,6 +382,53 @@ def json_nodes(node, path=()):
 MODEL_MUTATIONS = ["drop", "truncate", "extend", "nest",
                    None, True, "x", 10**400, 1e-320, -1, []]
 
+# One change to a feature CSV: a structural edit, or a cell replaced by a text.
+# Finite values from about 1e154 up are left out: predict still warns on them
+# (overflow in firing_matrix and time_membership).
+CSV_MUTATIONS = ["truncate-header", "drop-cell", "add-cell", "drop-line",
+                 "duplicate-line", "swap-lines", "", "x", "nan", "inf", "-inf",
+                 "1e400", "9" * 400, "1e-320", "-1", "0", "2", "1_0", " "]
+
+
+@pytest.fixture(scope="module")
+def tiny_csvs(tmp_path_factory):
+    """The text of a 30-row synth CSV to mutate, a clean second training
+    file, and a model trained on both."""
+    tmp = tmp_path_factory.mktemp("tiny-csv")
+    first, second, model = tmp / "first.csv", tmp / "second.csv", tmp / "m.json"
+    for seed, out in ((1, first), (2, second)):
+        assert main(["synth", "--seed", str(seed), "--n-obs", "30",
+                     "--out", str(out)]) == 0
+    assert main(["train", "--train", str(first), str(second),
+                 "--out", str(model)]) == 0
+    return first.read_text(), second, model
+
+
+def mutated_csv(text, change, draw):
+    """``text`` with one CSV mutation applied; ``draw`` picks from a range."""
+    lines = text.splitlines()
+    row = 0 if change == "truncate-header" else draw(0, len(lines) - 1)
+    if change == "drop-line":
+        del lines[row]
+    elif change == "duplicate-line":
+        lines.insert(row, lines[row])
+    elif change == "swap-lines":
+        other = draw(0, len(lines) - 1)
+        lines[row], lines[other] = lines[other], lines[row]
+    else:
+        cells = lines[row].split(",")
+        col = draw(0, len(cells) - 1)
+        if change == "truncate-header":
+            del cells[col:]
+        elif change == "drop-cell":
+            del cells[col]
+        elif change == "add-cell":
+            cells.insert(col, cells[col])
+        else:
+            cells[col] = change
+        lines[row] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
 
 class TestMalformedInputs:
     @pytest.mark.parametrize("edit, message", [
@@ -477,7 +524,9 @@ class TestMalformedInputs:
         ("k,tau,rho\n0,0,0.1\n", "{bad}: no feature columns"),
         ("k,tau,f1,rho\n0,0,0.5,0.1\n1,10,0.5\n", "{bad}:3: expected 4 columns"),
         ("k,tau,f1,rho\n", "{bad}: no data rows"),
-    ], ids=["bad-header", "no-feature-columns", "short-row", "no-rows"])
+        ("k\n1\n", "{bad}: expected header k,tau,<features...>,rho"),
+    ], ids=["bad-header", "no-feature-columns", "short-row", "no-rows",
+            "truncated-header"])
     def test_bad_feature_csv_exits_2(self, text, message, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
@@ -535,6 +584,49 @@ class TestMalformedInputs:
         assert len(errors) == (code != 0)
         # numpy's floating-point warnings read "... encountered in ..."
         assert code or not [w for w in caught if "encountered" in str(w.message)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(change=st.sampled_from(CSV_MUTATIONS), data=st.data())
+    def test_mutated_csv_never_ends_in_a_traceback(self, change, data, tiny_csvs):
+        text, second, model = tiny_csvs
+        mutated = second.with_name("mutated.csv")
+        mutated.write_text(mutated_csv(
+            text, change, lambda lo, hi: data.draw(st.integers(lo, hi))))
+        for argv in (["train", "--train", str(mutated), str(second),
+                      "--out", str(second.with_name("drawn.json"))],
+                     ["predict", "--model", str(model), "--input", str(mutated),
+                      "--out", str(second.with_name("drawn.csv"))],
+                     ["evaluate", "--model", str(model), "--test", str(mutated),
+                      "--out", str(second.with_name("drawn"))]):
+            stderr = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                code = main(argv)
+            errors = [line for line in stderr.getvalue().splitlines()
+                      if line.startswith("error:")]
+            assert code in (0, 1, 2), argv[0]
+            assert len(errors) == (code != 0), argv[0]
+            assert code or not [w for w in caught if "encountered" in str(w.message)]
+
+    def test_huge_training_time_exits_1(self, tmp_path, capsys):
+        train = tmp_path / "huge.csv"
+        assert main(["synth", "--seed", "1", "--n-obs", "30", "--out", str(train)]) == 0
+        lines = train.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[1] = "1e308"
+        lines[5] = ",".join(cells)
+        train.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--train", str(train), "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: observation times span [156.0, 1e+308]: too wide to estimate "
+            "time clusters over 30 rows"]
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "m.json").exists()
 
     def test_repeated_column_name_exits_2(self, synth_csvs, tmp_path, capsys):
         lines = synth_csvs["train_a"].read_text().splitlines()

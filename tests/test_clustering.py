@@ -85,11 +85,20 @@ class TestClusterConfig:
 class TestTrainingTable:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            TrainingTable(np.array([[1.0], [np.nan]]), rho=np.array([0.1, 0.2]))
+            TrainingTable(np.array([[1.0], [np.nan]]), rho=np.array([0.1, 0.2]),
+                          taus=[1.0, 2.0])
 
     def test_rejects_rho_outside_unit_interval(self):
         with pytest.raises(ValueError):
-            TrainingTable(np.array([[1.0], [2.0]]), rho=np.array([0.1, 1.2]))
+            TrainingTable(np.array([[1.0], [2.0]]), rho=np.array([0.1, 1.2]),
+                          taus=[1.0, 2.0])
+
+    def test_times_are_a_required_keyword(self):
+        x, rho, taus = np.ones((2, 1)), np.array([0.1, 0.2]), np.array([1.0, 2.0])
+        with pytest.raises(TypeError, match="taus"):
+            TrainingTable(x, rho=rho)
+        with pytest.raises(TypeError):
+            TrainingTable(x, rho, taus, ("f1",))
 
     def test_concat_pools_rows(self):
         a = TrainingTable(np.array([[1.0], [2.0]]), rho=np.array([0.1, 0.2]),
@@ -102,9 +111,9 @@ class TestTrainingTable:
 
     def test_concat_rejects_mismatched_features(self):
         a = TrainingTable(np.ones((2, 1)), rho=np.array([0.1, 0.2]),
-                          feature_names=("rms",))
+                          taus=[1.0, 2.0], feature_names=("rms",))
         b = TrainingTable(np.ones((2, 1)), rho=np.array([0.1, 0.2]),
-                          feature_names=("se",))
+                          taus=[1.0, 2.0], feature_names=("se",))
         with pytest.raises(ValueError):
             concat_tables([a, b])
 
@@ -112,22 +121,24 @@ class TestTrainingTable:
 class TestInputSigmas:
     def test_unit_sigma_case(self):
         table = TrainingTable(np.array([[0.0], [4.0 * np.sqrt(2.0)]]),
-                              rho=np.array([0.0, 1.0]))
+                              rho=np.array([0.0, 1.0]), taus=[1.0, 2.0])
         assert input_sigmas(table, 0.5)[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_half_sigma_case(self):
         table = TrainingTable(np.array([[1.0], [1.0 + 2.0 * np.sqrt(2.0)]]),
-                              rho=np.array([0.0, 1.0]))
+                              rho=np.array([0.0, 1.0]), taus=[1.0, 2.0])
         assert input_sigmas(table, 0.5)[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_matches_direct_formula(self, rng):
         column = rng.normal(1.5, 0.6, size=80)
-        table = TrainingTable(column[:, None], rho=np.linspace(0, 1, 80))
+        table = TrainingTable(column[:, None], rho=np.linspace(0, 1, 80),
+                              taus=np.arange(80.0))
         expected = 0.5 * (column.max() - column.min()) / (2.0 * np.sqrt(2.0))
         assert input_sigmas(table, 0.5)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_constant_column_clamped_with_warning(self):
-        table = TrainingTable(np.full((5, 1), 3.0), rho=np.linspace(0, 1, 5))
+        table = TrainingTable(np.full((5, 1), 3.0), rho=np.linspace(0, 1, 5),
+                              taus=np.arange(5.0))
         with pytest.warns(RuntimeWarning):
             sigmas = input_sigmas(table, 0.5)
         assert 0.0 < sigmas[0] <= 1e-8
@@ -135,13 +146,14 @@ class TestInputSigmas:
 
 class TestSubtractiveCluster:
     def test_single_data_point(self):
-        table = TrainingTable(np.array([[2.0]]), rho=np.array([0.4]))
+        table = TrainingTable(np.array([[2.0]]), rho=np.array([0.4]), taus=[1.0])
         clusters = subtractive_cluster(table)
         assert clusters.n_rules == 1
         np.testing.assert_array_equal(clusters.centers, [[2.0, 0.4]])
 
     def test_identical_points_collapse_to_one(self):
-        table = TrainingTable(np.full((7, 1), 1.5), rho=np.full(7, 0.5))
+        table = TrainingTable(np.full((7, 1), 1.5), rho=np.full(7, 0.5),
+                              taus=np.arange(7.0))
         with pytest.warns(RuntimeWarning):  # constant column sigma clamp
             clusters = subtractive_cluster(table)
         assert clusters.n_rules == 1
@@ -183,7 +195,8 @@ class TestSubtractiveCluster:
     def test_row_permutation_changes_nothing_but_order(self, rng):
         table = two_group_table(rng)
         perm = rng.permutation(table.n_rows)
-        shuffled = TrainingTable(table.features[perm], rho=table.rho[perm])
+        shuffled = TrainingTable(table.features[perm], rho=table.rho[perm],
+                                 taus=table.taus[perm])
         a = subtractive_cluster(table)
         b = subtractive_cluster(shuffled)
         sort = lambda c: c[np.lexsort(c.T)]
@@ -200,7 +213,7 @@ class TestSubtractiveCluster:
             rng.normal(0.5, 0.05, 12),
             rng.normal(0.9, 0.05, 12),
         ]), 0, 1)
-        table = TrainingTable(features, rho=rho)
+        table = TrainingTable(features, rho=rho, taus=np.arange(36.0))
         counts = [subtractive_cluster(table, ClusterConfig(ra=ra)).n_rules
                   for ra in (0.3, 0.5, 0.7)]
         assert counts[0] >= counts[1] >= counts[2]
@@ -212,7 +225,7 @@ class TestSubtractiveCluster:
         assert clusters.n_rules == 1
 
     def test_missing_rho_rejected(self):
-        table = TrainingTable(np.ones((3, 1)))
+        table = TrainingTable(np.ones((3, 1)), taus=np.arange(3.0))
         with pytest.raises(ValueError):
             subtractive_cluster(table)
 
@@ -221,7 +234,8 @@ class TestSubtractiveCluster:
         ([0.0, 1.0, 2.0], 2e-154),      # 4/ra^2 is finite, 8 I/ra^2 is not
     ], ids=["spread", "firing-exponent"])
     def test_radius_too_small_for_the_data_named(self, column, ra):
-        table = TrainingTable(np.array(column)[:, None], rho=[0.0, 0.5, 1.0])
+        table = TrainingTable(np.array(column)[:, None], rho=[0.0, 0.5, 1.0],
+                              taus=np.arange(3.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"^ra out of range for this data: "
@@ -237,7 +251,7 @@ def straddling_duplicates_table(rng):
     features, rho = table.features.copy(), table.rho.copy()
     features[6:8] = table.features[:13].mean(axis=0)
     rho[6:8] = table.rho[:13].mean()
-    return TrainingTable(features, rho=rho)
+    return TrainingTable(features, rho=rho, taus=table.taus)
 
 
 class TestBlockedPotentials:

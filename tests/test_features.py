@@ -641,14 +641,6 @@ class TestExtractFeatures:
         with pytest.raises(ValueError, match="no windows"):
             extract_features(iter(()), ["rms"])
 
-    def test_csv_without_taus_rejected(self, rng, tmp_path):
-        table = extract_features(self.windows(rng), ["rms"])
-        table.taus = None
-        path = tmp_path / "features.csv"
-        with pytest.raises(ValueError, match="no taus"):
-            write_feature_csv(path, table)
-        assert not path.exists()
-
     def test_csv_without_feature_columns_rejected(self, tmp_path):
         table = TrainingTable(np.empty((3, 0)), taus=[1.0, 2.0, 3.0])
         with pytest.raises(ConfigError, match="feature set is empty"):

@@ -328,12 +328,6 @@ class TestIdentifyWeighted:
         weighted = evaluate_model(identify_weighted(train, clusters), tests)
         assert weighted.arrmse <= baseline.arrmse
 
-    def test_missing_taus_rejected(self):
-        table = TrainingTable(np.array([[0.0], [1.0]]), rho=np.array([0.0, 1.0]))
-        clusters = ClusterSet(centers=np.array([[0.5, 0.5]]), sigmas=np.array([0.3]))
-        with pytest.raises(ValueError):
-            identify_weighted(table, clusters)
-
 
 class TestLeastSquaresOptimality:
     @pytest.mark.parametrize("identify", [identify_baseline, identify_weighted])
