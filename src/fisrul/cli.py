@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -221,6 +222,13 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fisrul",
@@ -237,7 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="IMS channel index")
     features.add_argument("--unlabeled", action="store_true",
                           help="omit the rho column (online prediction input)")
-    features.add_argument("--jobs", type=int, default=1)
+    features.add_argument("--jobs", type=int, default=_usable_cpus(),
+                          help="threads that run a window's feature kernels, "
+                               "the caller included (default: the CPUs this "
+                               "process may use, %(default)s here)")
     features.add_argument("--config", default=None)
     features.add_argument("--out", required=True)
     features.set_defaults(func=cmd_features)

@@ -4,7 +4,7 @@ Six indicators are supported: root mean square (rms), normalized spectral
 entropy (se), approximate entropy (ae), largest Lyapunov exponent (lle),
 correlation dimension (cd) and the degradation index of the approximate
 entropy series (diae).  Every indicator is a pure function of its window and
-settings, so windows may be processed in parallel in any order.  The
+settings, so a window's kernels may run concurrently in any order.  The
 pairwise-distance kernels (ae, lle, cd) are called as ``kernel(window,
 params)``: a ``FeatureParams`` is the one way to set their parameters, and
 its checks are the only ones on them.  ApEn counts template matches along
@@ -24,7 +24,6 @@ import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
 from numbers import Integral, Real
 from typing import Iterable, Sequence
 
@@ -44,6 +43,10 @@ _KERNELS = {
     "cd": lambda w, p: correlation_dimension(w, p),
 }
 FEATURE_NAMES = (*_KERNELS, "diae")  # diae scores the whole ae series
+
+# Kernels from costliest to cheapest per window; extract_features runs a
+# window's costliest kernel on the calling thread.
+_COST_ORDER = ("cd", "lle", "ae", "se", "rms")
 
 # Pairwise-distance features (ae, lle, cd) decimate the window to at most
 # this many samples so 20480-sample windows stay tractable.
@@ -288,8 +291,14 @@ def _theiler_neighbors(points: np.ndarray, mean_period: int) -> np.ndarray:
     nn = np.empty(m, dtype=np.intp)
     for a, b in _row_blocks(m):
         dist = cdist(points[a:b], points)
-        for i in range(a, b):
-            dist[i - a, max(0, i - mean_period):i + mean_period + 1] = np.inf
+        # entry (i - a, i + d) of the block sits at flat index (i - a)(m + 1) + a + d,
+        # so each offset d of the band is one strided slice of the flat block
+        flat = dist.ravel()
+        for d in range(-mean_period, mean_period + 1):
+            lo, hi = max(0, -a - d), min(b - a, m - a - d)  # rows with 0 <= i + d < m
+            if lo < hi:
+                start = lo * (m + 1) + a + d
+                flat[start:start + (hi - lo) * (m + 1):m + 1] = np.inf
         nn[a:b] = dist.argmin(axis=1)
     return nn
 
@@ -486,17 +495,30 @@ def normalize_feature_names(feature_set: Iterable[str]) -> tuple[str, ...]:
     return names
 
 
+def _outcome(name: str, window: SignalWindow, params: FeatureParams):
+    """Kernel ``name``'s value on the window, or the exception it raised."""
+    try:
+        return _KERNELS[name](window, params)
+    except Exception as exc:
+        return exc
+
+
 def extract_features(windows: Iterable[SignalWindow], feature_set: Iterable[str],
                      params: FeatureParams | None = None,
                      labeled: bool = False, n_jobs: int = 1) -> TrainingTable:
     """Compute one feature row per window, columns in ``feature_set`` order.
 
-    Windows are consumed lazily in chunks, so recordings never have to be
-    materialized; only the scalar feature values are retained.  With
+    Windows are consumed lazily, one at a time, so recordings never have to
+    be materialized; only the scalar feature values are retained.  With
     ``labeled=True`` each row gets rho = tau / total life, the total life
     being the last window timestamp (run-to-failure convention).
-    The windows of each chunk run in a pool of ``n_jobs`` threads (at least
-    one); results are independent of the execution order.
+
+    ``n_jobs`` counts the calling thread: it computes each window's
+    costliest kernel (``_COST_ORDER``), so cd's large buffers never sit in
+    a pool thread's malloc arena, while up to ``n_jobs - 1`` pool threads
+    run the others.  With ``n_jobs=1`` no thread starts.  Results, and the
+    error raised (the first failing kernel in ``feature_set`` order), do
+    not depend on ``n_jobs``.
     """
     names = normalize_feature_names(feature_set)
     if n_jobs < 1:
@@ -505,21 +527,27 @@ def extract_features(windows: Iterable[SignalWindow], feature_set: Iterable[str]
     base_names = tuple(n for n in names if n != "diae")
     if "diae" in names and "ae" not in base_names:
         base_names = base_names + ("ae",)
+    by_cost = sorted(base_names, key=_COST_ORDER.index)
+    inline = by_cost[:1] if n_jobs > 1 else by_cost
+    pooled = by_cost[len(inline):]
 
     taus: list[float] = []
     rows: list[list[float]] = []
-    chunk_size = max(8, 4 * n_jobs)
-    windows = iter(windows)
-    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        while chunk := list(islice(windows, chunk_size)):
-            for w in chunk:
-                if taus and w.timestamp <= taus[-1]:
-                    raise ValueError(
-                        f"window timestamps must be strictly increasing "
-                        f"({w.timestamp} after {taus[-1]})")
-                taus.append(w.timestamp)
-            rows.extend(pool.map(
-                lambda w: [_KERNELS[n](w, params) for n in base_names], chunk))
+    # threads start at the first submit, so an empty ``pooled`` starts none
+    with ThreadPoolExecutor(max(1, min(n_jobs - 1, len(pooled)))) as pool:
+        for w in windows:
+            if taus and w.timestamp <= taus[-1]:
+                raise ValueError(
+                    f"window timestamps must be strictly increasing "
+                    f"({w.timestamp} after {taus[-1]})")
+            taus.append(w.timestamp)
+            pending = {n: pool.submit(_outcome, n, w, params) for n in pooled}
+            done = {n: _outcome(n, w, params) for n in inline}
+            row = [done[n] if n in done else pending[n].result() for n in base_names]
+            for value in row:
+                if isinstance(value, Exception):
+                    raise value
+            rows.append(row)
 
     if not rows:
         raise ValueError("no windows to extract features from")

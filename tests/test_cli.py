@@ -6,6 +6,7 @@ import inspect
 import io
 import json
 import math
+import os
 import warnings
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fisrul.cli import SECTIONS, main
+from fisrul.cli import SECTIONS, build_parser, main
 from fisrul.clustering import ClusterConfig, subtractive_cluster
 from fisrul.datasets import iter_ims, iter_phm
 from fisrul.features import extract_features, read_feature_csv
@@ -147,6 +148,17 @@ class TestFeaturesCommand:
                      "--features", "rms", "--unlabeled", "--out", str(subset)]) == 0
         assert read_feature_csv(subset).rho is None
         assert all(line.endswith(",") for line in subset.read_text().splitlines()[1:])
+
+    def test_default_jobs_writes_same_bytes_as_one_job(self, tmp_path):
+        root, _ = make_phm_dir(tmp_path)
+        args = ["features", "--input", str(root), "--format", "phm",
+                "--features", "rms,se,ae,lle,cd"]
+        assert build_parser().parse_args(args + ["--out", "x"]).jobs \
+            == len(os.sched_getaffinity(0))
+        default, one = tmp_path / "default.csv", tmp_path / "one.csv"
+        assert main(args + ["--out", str(default)]) == 0
+        assert main(args + ["--jobs", "1", "--out", str(one)]) == 0
+        assert default.read_bytes() == one.read_bytes()
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_fewer_than_one_job_exits_1(self, jobs, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -331,6 +332,23 @@ class TestLargestLyapunov:
         assert _theiler_neighbors(points, 7).tolist() == expected
 
 
+@pytest.mark.parametrize("mean_period", [0, 1, 4, 9])
+@pytest.mark.parametrize("block_rows", [1, 3, 7, 40])
+def test_theiler_band_matches_per_row_band(monkeypatch, mean_period, block_rows):
+    """The strided band equals setting each row's band slice on its own,
+    with bands crossing row-block edges and both ends of the matrix."""
+    from scipy.spatial.distance import cdist
+
+    points = np.random.default_rng(mean_period).standard_normal((41, 2))
+    dist = cdist(points, points)
+    for i in range(len(points)):
+        dist[i, max(0, i - mean_period):i + mean_period + 1] = np.inf
+    monkeypatch.setattr(features, "_BLOCK_BYTES", block_rows * 8 * len(points))
+    assert next(features._row_blocks(len(points))) == (0, min(block_rows, 41))
+    assert _theiler_neighbors(points, mean_period).tolist() \
+        == dist.argmin(axis=1).tolist()
+
+
 def step_loop_divergence(points, nn, n_steps):
     """The divergence loop `features._divergence` replaced: one gather of the
     tracked pairs per step.  Kept here as its oracle."""
@@ -587,11 +605,69 @@ class TestExtractFeatures:
         with pytest.raises(ConfigError, match="bogus"):
             extract_features(self.windows(rng), ["rms", "bogus"])
 
-    def test_parallel_matches_serial(self, rng):
-        windows = self.windows(rng, count=12)
-        serial = extract_features(windows, ["rms", "se", "ae"], n_jobs=1)
-        parallel = extract_features(windows, ["rms", "se", "ae"], n_jobs=4)
-        np.testing.assert_array_equal(serial.features, parallel.features)
+    def test_parallel_matches_serial(self):
+        names = ["rms", "se", "ae", "lle", "cd", "diae"]
+        for length, rate in [(2560, 25600.0), (20480, 20000.0)]:  # PHM, IMS sizes
+            windows = [make_window(vibration_window(k, length, rate, k / 3), k + 1,
+                                   10.0 * k) for k in range(4)]
+            serial = extract_features(windows, names, n_jobs=1)
+            for n_jobs in (2, 4):
+                parallel = extract_features(windows, names, n_jobs=n_jobs)
+                np.testing.assert_array_equal(serial.features, parallel.features)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2, 4])
+    def test_correlation_dimension_runs_on_calling_thread(self, rng, monkeypatch,
+                                                          n_jobs):
+        # cd holds the largest buffers; on the caller they never sit in a
+        # pool thread's malloc arena, which keeps the peak RSS down
+        threads = {}
+        for name in ("rms", "spectral_entropy", "approximate_entropy",
+                     "largest_lyapunov", "correlation_dimension"):
+            def record(*args, _kernel=getattr(features, name), _name=name):
+                threads.setdefault(_name, set()).add(threading.get_ident())
+                return _kernel(*args)
+            monkeypatch.setattr(features, name, record)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        extract_features(self.windows(rng, count=3), ["rms", "se", "ae", "lle", "cd"],
+                         n_jobs=n_jobs)
+        caller = {threading.get_ident()}
+        assert threads.pop("correlation_dimension") == caller
+        if n_jobs == 1:
+            assert not started
+            assert all(idents == caller for idents in threads.values())
+        else:
+            assert 1 <= len(started) <= n_jobs - 1
+            assert all(not idents & caller for idents in threads.values())
+
+    def test_every_kernel_has_a_cost_rank(self):
+        assert sorted(features._COST_ORDER) == sorted(features._KERNELS)
+
+    @pytest.mark.parametrize("order, dim", [(["ae", "lle", "cd"], 5),
+                                            (["ae", "cd", "lle"], 4)],
+                             ids=["lle-before-cd", "cd-before-lle"])
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_first_failing_kernel_in_feature_order_raised(self, rng, order, dim,
+                                                          n_jobs):
+        # lle and cd both fail on 6 samples, each naming its own embedding
+        params = FeatureParams(lle_embed_dim=5, lle_lag=2, cd_embed_dim=4, cd_lag=2)
+        window = make_window(rng.normal(size=6))
+        with pytest.raises(ValueError,
+                           match=f"^window too short for embedding dim={dim}, lag=2"):
+            extract_features([window], order, params, n_jobs=n_jobs)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_timestamp_error_at_same_window(self, rng, monkeypatch, n_jobs):
+        calls = []
+        kernel = features.rms
+        monkeypatch.setattr(features, "rms", lambda w: calls.append(w) or kernel(w))
+        windows = self.windows(rng, count=6)
+        windows[4] = make_window(windows[4].samples, timestamp=windows[3].timestamp)
+        with pytest.raises(ValueError, match=r"strictly increasing \(30.0 after 30.0\)"):
+            extract_features(windows, ["rms", "ae"], n_jobs=n_jobs)
+        assert [w.timestamp for w in calls] == [0.0, 10.0, 20.0, 30.0]
 
     @pytest.mark.parametrize("n_jobs", [0, -1])
     def test_fewer_than_one_job_rejected(self, rng, n_jobs):
