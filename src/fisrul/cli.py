@@ -14,7 +14,6 @@ import dataclasses
 import hashlib
 import inspect
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -136,8 +135,7 @@ def cmd_features(args) -> int:
             windows = iter_phm(args.input)
         else:
             windows = iter_ims(args.input, args.channel)
-        table = extract_features(windows, names, params,
-                                 labeled=not args.unlabeled, n_jobs=args.jobs)
+        table = extract_features(windows, names, params, labeled=not args.unlabeled)
     write_feature_csv(args.out, table)
     _log(f"{table.n_rows} windows -> {args.out} "
          f"in {time.perf_counter() - start:.2f}s")
@@ -222,13 +220,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (all of them where affinity is unknown)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fisrul",
@@ -245,10 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="IMS channel index")
     features.add_argument("--unlabeled", action="store_true",
                           help="omit the rho column (online prediction input)")
-    features.add_argument("--jobs", type=int, default=_usable_cpus(),
-                          help="threads that run a window's feature kernels, "
-                               "the caller included (default: the CPUs this "
-                               "process may use, %(default)s here)")
     features.add_argument("--config", default=None)
     features.add_argument("--out", required=True)
     features.set_defaults(func=cmd_features)

@@ -35,6 +35,8 @@ class TrainingTable:
         self.features = np.atleast_2d(np.asarray(self.features, dtype=float))
         if self.features.shape[0] < 1:
             raise ValueError("training table has no rows")
+        if self.features.shape[1] < 1:
+            raise ValueError("training table has no feature columns")
         if not np.isfinite(self.features).all():
             raise ValueError("training table contains non-finite feature values")
         if not self.feature_names:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -503,9 +504,16 @@ def _outcome(name: str, window: SignalWindow, params: FeatureParams):
         return exc
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def extract_features(windows: Iterable[SignalWindow], feature_set: Iterable[str],
-                     params: FeatureParams | None = None,
-                     labeled: bool = False, n_jobs: int = 1) -> TrainingTable:
+                     params: FeatureParams = DEFAULT_PARAMS,
+                     labeled: bool = False) -> TrainingTable:
     """Compute one feature row per window, columns in ``feature_set`` order.
 
     Windows are consumed lazily, one at a time, so recordings never have to
@@ -513,28 +521,26 @@ def extract_features(windows: Iterable[SignalWindow], feature_set: Iterable[str]
     ``labeled=True`` each row gets rho = tau / total life, the total life
     being the last window timestamp (run-to-failure convention).
 
-    ``n_jobs`` counts the calling thread: it computes each window's
-    costliest kernel (``_COST_ORDER``), so cd's large buffers never sit in
-    a pool thread's malloc arena, while up to ``n_jobs - 1`` pool threads
-    run the others.  With ``n_jobs=1`` no thread starts.  Results, and the
-    error raised (the first failing kernel in ``feature_set`` order), do
-    not depend on ``n_jobs``.
+    A window's kernels run on the CPUs this process may use, at most one
+    thread per kernel.  The calling thread computes the costliest kernel
+    (``_COST_ORDER``), so cd's large buffers never sit in a pool thread's
+    malloc arena, and a pool runs the others; on one CPU every kernel runs
+    inline and no thread starts.  Results, and the error raised (the first
+    failing kernel in ``feature_set`` order), do not depend on the CPU count.
     """
     names = normalize_feature_names(feature_set)
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be at least 1, got {n_jobs}")
-    params = params or DEFAULT_PARAMS
     base_names = tuple(n for n in names if n != "diae")
     if "diae" in names and "ae" not in base_names:
         base_names = base_names + ("ae",)
     by_cost = sorted(base_names, key=_COST_ORDER.index)
-    inline = by_cost[:1] if n_jobs > 1 else by_cost
+    threads = min(_usable_cpus(), len(by_cost)) - 1
+    inline = by_cost[:1] if threads else by_cost
     pooled = by_cost[len(inline):]
 
     taus: list[float] = []
     rows: list[list[float]] = []
     # threads start at the first submit, so an empty ``pooled`` starts none
-    with ThreadPoolExecutor(max(1, min(n_jobs - 1, len(pooled)))) as pool:
+    with ThreadPoolExecutor(max(1, threads)) as pool:
         for w in windows:
             if taus and w.timestamp <= taus[-1]:
                 raise ValueError(
@@ -574,8 +580,6 @@ def write_feature_csv(path, table: TrainingTable) -> None:
     Column names are free-form (synthetic tables use their own), so no
     validation against the computable feature set happens here.
     """
-    if not table.feature_names:
-        raise ConfigError("feature set is empty")
     rhos = [None] * table.n_rows if table.rho is None else table.rho
     write_csv(path, ["k", "tau", *table.feature_names, "rho"],
               ([k, tau, *values, rho] for k, (tau, values, rho)

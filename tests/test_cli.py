@@ -6,7 +6,6 @@ import inspect
 import io
 import json
 import math
-import os
 import warnings
 from pathlib import Path
 
@@ -15,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fisrul.cli import SECTIONS, build_parser, main
+from fisrul import features
+from fisrul.cli import SECTIONS, main
 from fisrul.clustering import ClusterConfig, subtractive_cluster
 from fisrul.datasets import iter_ims, iter_phm
 from fisrul.features import extract_features, read_feature_csv
@@ -149,26 +149,19 @@ class TestFeaturesCommand:
         assert read_feature_csv(subset).rho is None
         assert all(line.endswith(",") for line in subset.read_text().splitlines()[1:])
 
-    def test_default_jobs_writes_same_bytes_as_one_job(self, tmp_path):
+    def test_one_cpu_writes_same_bytes_as_default(self, tmp_path, monkeypatch):
         root, _ = make_phm_dir(tmp_path)
         args = ["features", "--input", str(root), "--format", "phm",
                 "--features", "rms,se,ae,lle,cd"]
-        assert build_parser().parse_args(args + ["--out", "x"]).jobs \
-            == len(os.sched_getaffinity(0))
         default, one = tmp_path / "default.csv", tmp_path / "one.csv"
         assert main(args + ["--out", str(default)]) == 0
-        assert main(args + ["--jobs", "1", "--out", str(one)]) == 0
+        monkeypatch.setattr(features, "_usable_cpus", lambda: 1)
+        assert main(args + ["--out", str(one)]) == 0
         assert default.read_bytes() == one.read_bytes()
-
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
-    def test_fewer_than_one_job_exits_1(self, jobs, tmp_path, capsys):
-        root, _ = make_phm_dir(tmp_path)
-        out = tmp_path / "x.csv"
-        code = main(["features", "--input", str(root), "--format", "phm",
-                     "--jobs", jobs, "--out", str(out)])
-        assert code == 1
-        assert f"error: n_jobs must be at least 1, got {jobs}" in capsys.readouterr().err
-        assert not out.exists()
+        # the thread count follows the affinity mask; no flag sets it
+        with pytest.raises(SystemExit) as exit_info:
+            main(args + ["--jobs", "2", "--out", str(one)])
+        assert exit_info.value.code == 2
 
     def test_csv_format_missing_column_exits_2(self, tmp_path):
         root, _ = make_phm_dir(tmp_path)
@@ -357,6 +350,15 @@ def negative_prior(doc):
     priors[1] = -0.5
 
 
+def drop_last_time_cluster(doc):
+    """Fold the last prior into the first and drop the last time cluster, so
+    the time parameters stay valid but cover one rule fewer."""
+    time_params = doc["time_params"]
+    time_params["priors"][0] += time_params["priors"].pop()
+    time_params["centroids"].pop()
+    time_params["variances"].pop()
+
+
 @pytest.fixture(scope="module")
 def tiny_models(tmp_path_factory):
     """Model text of each variant, trained on a 40-row synth table, and a
@@ -490,6 +492,11 @@ class TestMalformedInputs:
          "time_params: priors: expected an array of finite numbers, got [nan, "),
         (lambda doc: doc["slopes"][0].append(0.5),
          "slopes: expected an array of finite numbers, got [["),
+        (lambda doc: doc["sigmas"].__setitem__(0, -0.5),
+         "membership spreads must be strictly positive"),
+        (lambda doc: doc["time_params"]["variances"].__setitem__(0, 0.0),
+         "time variances must be strictly positive"),
+        (drop_last_time_cluster, "time parameters do not match the rule count"),
     ], ids=["missing-key", "wrong-length", "non-numeric", "rule-weight",
             "feature-set-number", "feature-set-string", "feature-set-too-short",
             "sigma-reciprocal-overflows", "time-variance-reciprocal-overflows",
@@ -497,7 +504,8 @@ class TestMalformedInputs:
             "provenance-not-an-object", "huge-integer-offset", "schema-v1-document",
             "time-params-missing-key", "time-params-extra-key",
             "time-params-not-an-object", "priors-2d", "negative-prior", "nan-prior",
-            "ragged-slopes"])
+            "ragged-slopes", "negative-sigma", "zero-time-variance",
+            "time-params-one-rule-short"])
     def test_bad_model_rule_exits_2(self, edit, message, synth_csvs, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         assert main(["train", "--train", str(synth_csvs["train_a"]),
@@ -510,6 +518,27 @@ class TestMalformedInputs:
                      str(synth_csvs["test_a"]), "--out", str(tmp_path / "p.csv")])
         assert code == 2
         assert f"error: {model_path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["features", "--input", "{phm}", "--format", "phm", "--features", "rms,rms"],
+         2, "duplicate feature names in ('rms', 'rms')"),
+        (["features", "--input", "{phm}", "--format", "phm"],
+         1, "total life must be positive, got 0.0"),
+        (["train", "--variant", "weighted", "--train", "{one_row}"],
+         1, "need at least 2 observations to estimate time clusters"),
+    ], ids=["duplicate-features", "one-file-phm-life", "weighted-train-one-row"])
+    # one row makes every feature column constant
+    @pytest.mark.filterwarnings("ignore:constant feature column")
+    def test_input_check_exits_with_its_message(self, argv, code, message, tmp_path,
+                                                capsys):
+        phm, _ = make_phm_dir(tmp_path, n_files=1)
+        one_row, out = tmp_path / "one_row.csv", tmp_path / "out"
+        assert main(["synth", "--n-obs", "1", "--out", str(one_row)]) == 0
+        capsys.readouterr()
+        argv = [arg.format(phm=phm, one_row=one_row) for arg in argv]
+        assert main(argv + ["--out", str(out)]) == code
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_model_not_json_exits_2(self, synth_csvs, tmp_path, capsys):
         model_path = tmp_path / "model.json"

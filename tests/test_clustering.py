@@ -109,6 +109,25 @@ class TestTrainingTable:
         assert pooled.n_rows == 3
         np.testing.assert_array_equal(pooled.taus, [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: TrainingTable(np.empty((0, 2)), taus=[]), "training table has no rows"),
+        (lambda: TrainingTable(np.ones((2, 2)), taus=[1.0, 2.0], feature_names=("f1",)),
+         "feature_names length does not match feature columns"),
+        (lambda: TrainingTable(np.ones((2, 1)), rho=[0.5], taus=[1.0, 2.0]),
+         "rho length does not match row count"),
+        (lambda: TrainingTable(np.ones((2, 1)), rho=[0.5, np.nan], taus=[1.0, 2.0]),
+         "rho contains non-finite values"),
+        (lambda: TrainingTable(np.ones((2, 1)), taus=[1.0]),
+         "taus length does not match row count"),
+        (lambda: TrainingTable(np.ones((2, 1)), taus=[1.0, np.inf]),
+         "taus contains non-finite values"),
+        (lambda: concat_tables([]), "no tables to concatenate"),
+    ], ids=["no-rows", "names-length", "rho-length", "rho-non-finite", "taus-length",
+            "taus-non-finite", "concat-nothing"])
+    def test_malformed_table_rejected(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
     def test_concat_rejects_mismatched_features(self):
         a = TrainingTable(np.ones((2, 1)), rho=np.array([0.1, 0.2]),
                           taus=[1.0, 2.0], feature_names=("rms",))

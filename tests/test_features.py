@@ -23,6 +23,7 @@ from fisrul.features import (
     degradation_index,
     extract_features,
     largest_lyapunov,
+    normalize_feature_names,
     read_feature_csv,
     rms,
     spectral_entropy,
@@ -454,6 +455,24 @@ def test_non_finite_samples_rejected(kernel, bad):
         kernel(x)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: rms(np.array([])), "signal window has no samples"),
+    (lambda: largest_lyapunov(make_window(np.sin(np.arange(20.0))),
+                              FeatureParams(lle_embed_dim=5, lle_lag=3)),
+     "too few embedded points for divergence tracking: 8"),
+    # the fit range lies past the 50-step divergence curve
+    (lambda: largest_lyapunov(make_window(np.sin(np.arange(400) / 5.0)),
+                              FeatureParams(lle_fit_range=(60, 70))),
+     "divergence curve too short to fit"),
+    (lambda: degradation_index(np.ones(5), 1), "baseline needs at least 2 values, got 1"),
+    (lambda: normalize_feature_names([]), "feature set is empty"),
+], ids=["empty-array-window", "lle-few-points", "lle-fit-past-curve",
+        "diae-one-value-baseline", "no-feature-names"])
+def test_out_of_range_input_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 class TestCorrelationDimension:
     def test_line_segment(self):
         x = np.linspace(0.0, 1.0, 600)
@@ -605,21 +624,24 @@ class TestExtractFeatures:
         with pytest.raises(ConfigError, match="bogus"):
             extract_features(self.windows(rng), ["rms", "bogus"])
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
         names = ["rms", "se", "ae", "lle", "cd", "diae"]
         for length, rate in [(2560, 25600.0), (20480, 20000.0)]:  # PHM, IMS sizes
             windows = [make_window(vibration_window(k, length, rate, k / 3), k + 1,
                                    10.0 * k) for k in range(4)]
-            serial = extract_features(windows, names, n_jobs=1)
-            for n_jobs in (2, 4):
-                parallel = extract_features(windows, names, n_jobs=n_jobs)
+            monkeypatch.setattr(features, "_usable_cpus", lambda: 1)
+            serial = extract_features(windows, names)
+            for cpus in (2, 4):
+                monkeypatch.setattr(features, "_usable_cpus", lambda: cpus)
+                parallel = extract_features(windows, names)
                 np.testing.assert_array_equal(serial.features, parallel.features)
 
-    @pytest.mark.parametrize("n_jobs", [1, 2, 4])
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
     def test_correlation_dimension_runs_on_calling_thread(self, rng, monkeypatch,
-                                                          n_jobs):
+                                                          cpus):
         # cd holds the largest buffers; on the caller they never sit in a
         # pool thread's malloc arena, which keeps the peak RSS down
+        monkeypatch.setattr(features, "_usable_cpus", lambda: cpus)
         threads = {}
         for name in ("rms", "spectral_entropy", "approximate_entropy",
                      "largest_lyapunov", "correlation_dimension"):
@@ -631,15 +653,14 @@ class TestExtractFeatures:
         start = threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start",
                             lambda thread: started.append(thread) or start(thread))
-        extract_features(self.windows(rng, count=3), ["rms", "se", "ae", "lle", "cd"],
-                         n_jobs=n_jobs)
+        extract_features(self.windows(rng, count=3), ["rms", "se", "ae", "lle", "cd"])
         caller = {threading.get_ident()}
         assert threads.pop("correlation_dimension") == caller
-        if n_jobs == 1:
+        if cpus == 1:
             assert not started
             assert all(idents == caller for idents in threads.values())
         else:
-            assert 1 <= len(started) <= n_jobs - 1
+            assert 1 <= len(started) <= cpus - 1
             assert all(not idents & caller for idents in threads.values())
 
     def test_every_kernel_has_a_cost_rank(self):
@@ -648,31 +669,28 @@ class TestExtractFeatures:
     @pytest.mark.parametrize("order, dim", [(["ae", "lle", "cd"], 5),
                                             (["ae", "cd", "lle"], 4)],
                              ids=["lle-before-cd", "cd-before-lle"])
-    @pytest.mark.parametrize("n_jobs", [1, 2])
-    def test_first_failing_kernel_in_feature_order_raised(self, rng, order, dim,
-                                                          n_jobs):
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_first_failing_kernel_in_feature_order_raised(self, rng, monkeypatch,
+                                                          order, dim, cpus):
         # lle and cd both fail on 6 samples, each naming its own embedding
+        monkeypatch.setattr(features, "_usable_cpus", lambda: cpus)
         params = FeatureParams(lle_embed_dim=5, lle_lag=2, cd_embed_dim=4, cd_lag=2)
         window = make_window(rng.normal(size=6))
         with pytest.raises(ValueError,
                            match=f"^window too short for embedding dim={dim}, lag=2"):
-            extract_features([window], order, params, n_jobs=n_jobs)
+            extract_features([window], order, params)
 
-    @pytest.mark.parametrize("n_jobs", [1, 2])
-    def test_timestamp_error_at_same_window(self, rng, monkeypatch, n_jobs):
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_timestamp_error_at_same_window(self, rng, monkeypatch, cpus):
+        monkeypatch.setattr(features, "_usable_cpus", lambda: cpus)
         calls = []
         kernel = features.rms
         monkeypatch.setattr(features, "rms", lambda w: calls.append(w) or kernel(w))
         windows = self.windows(rng, count=6)
         windows[4] = make_window(windows[4].samples, timestamp=windows[3].timestamp)
         with pytest.raises(ValueError, match=r"strictly increasing \(30.0 after 30.0\)"):
-            extract_features(windows, ["rms", "ae"], n_jobs=n_jobs)
+            extract_features(windows, ["rms", "ae"])
         assert [w.timestamp for w in calls] == [0.0, 10.0, 20.0, 30.0]
-
-    @pytest.mark.parametrize("n_jobs", [0, -1])
-    def test_fewer_than_one_job_rejected(self, rng, n_jobs):
-        with pytest.raises(ValueError, match=f"n_jobs must be at least 1, got {n_jobs}"):
-            extract_features(self.windows(rng), ["rms"], n_jobs=n_jobs)
 
     @pytest.mark.parametrize("order", [
         ["cd", "rms", "ae"], ["diae", "rms"], ["ae", "diae", "se", "lle"],
@@ -717,10 +735,9 @@ class TestExtractFeatures:
         with pytest.raises(ValueError, match="no windows"):
             extract_features(iter(()), ["rms"])
 
-    def test_csv_without_feature_columns_rejected(self, tmp_path):
-        table = TrainingTable(np.empty((3, 0)), taus=[1.0, 2.0, 3.0])
-        with pytest.raises(ConfigError, match="feature set is empty"):
-            write_feature_csv(tmp_path / "features.csv", table)
+    def test_csv_without_feature_columns_rejected(self):
+        with pytest.raises(ValueError, match="training table has no feature columns"):
+            TrainingTable(np.empty((3, 0)), taus=[1.0, 2.0, 3.0])
 
     def test_determinism(self, rng):
         windows = self.windows(rng)

@@ -90,6 +90,19 @@ class TestBuildDesignMatrix:
         np.testing.assert_array_equal(phi, expected)
 
 
+@pytest.mark.parametrize("call, message", [
+    (identify_baseline, "identification requires labeled rows (rho present)"),
+    (identify_weighted, "identification requires labeled rows (rho present)"),
+    (lambda table, clusters: build_design_matrix(table.features, np.ones((1, 2))),
+     "feature rows must match degree rows"),
+], ids=["baseline-unlabeled", "weighted-unlabeled", "design-row-mismatch"])
+def test_identification_input_rejected(call, message):
+    labeled, clusters = mirror_table_and_clusters()
+    table = TrainingTable(labeled.features, taus=labeled.taus)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(table, clusters)
+
+
 class TestInfer:
     def test_constant_consequent(self, rng):
         model = single_rule_model(a=[0.0], b=0.7)

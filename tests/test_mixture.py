@@ -115,6 +115,11 @@ class TestEstimateTimeClusters:
         # rule 0 has all mass on tau=10 -> clamped to (1% of span)^2
         assert params.variances[0] == pytest.approx((0.01 * 20.0) ** 2)
 
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError,
+                           match="taus length must match the degree-matrix row count"):
+            estimate_time_clusters([1.0, 2.0, 3.0], np.array([[1.0], [1.0]]))
+
     def test_unnormalized_rows_rejected(self):
         with pytest.raises(ValueError):
             estimate_time_clusters([1.0, 2.0], np.array([[0.5, 0.2], [0.5, 0.5]]))

@@ -1,6 +1,7 @@
 """Ratio/RUL conversion, smoothing filter, and error metrics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,10 @@ class TestRulFromRatio:
     def test_ratio_above_one_rejected(self):
         with pytest.raises(ValueError):
             rul_from_ratio(1.2, 10.0)
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError, match=r"^tau must be non-negative, got -1.0$"):
+            rul_from_ratio(0.5, -1.0)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -272,6 +277,19 @@ class TestEvaluateModel:
         model, table = self.perfect_model_and_table()
         report = evaluate_model(model, {"b1": table})
         assert report.arrmse == report.bearings[0].rrmse
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda model, table: rrmse([], []), "empty sequences"),
+        (lambda model, table: arrmse([]), "need at least one bearing"),
+        (lambda model, table: evaluate_model(model, {}), "no bearings to evaluate"),
+        (lambda model, table: evaluate_model(
+            model, {"b1": TrainingTable(table.features, taus=table.taus)}),
+         "bearing b1: evaluation needs labeled rows"),
+    ], ids=["rrmse-empty", "arrmse-empty", "no-bearings", "unlabeled-bearing"])
+    def test_nothing_to_score_rejected(self, call, message):
+        model, table = self.perfect_model_and_table()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(model, table)
 
     def test_report_csvs(self, tmp_path):
         model, table = self.perfect_model_and_table()
