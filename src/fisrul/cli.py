@@ -20,8 +20,9 @@ from pathlib import Path
 
 from .clustering import ClusterConfig, TrainingTable, concat_tables, subtractive_cluster
 from .datasets import iter_ims, iter_phm, synth_bearing
-from .errors import ConfigError, LoadError
+from .errors import ConfigError, LoadError, read_json
 from .features import (
+    FEATURE_NAMES,
     FeatureParams,
     extract_features,
     normalize_feature_names,
@@ -54,11 +55,7 @@ def _settings(args) -> dict:
     is a ConfigError naming the file and the section or key."""
     path, doc = args.config, {}
     if path is not None:
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except (ValueError, RecursionError) as exc:  # too many digits or levels
-                raise ConfigError(f"{path}: not a JSON document: {exc}") from None
+        doc = read_json(path)
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: expected a JSON object, got {doc!r}")
     version = doc.get("version", CONFIG_SCHEMA_VERSION)
@@ -123,19 +120,20 @@ def cmd_features(args) -> int:
         table = read_feature_csv(args.input)
         missing = [n for n in names if n not in table.feature_names]
         if missing:
-            raise ConfigError(
-                f"{args.input}: feature(s) {missing} not present in "
-                f"{table.feature_names}")
+            raise ConfigError(f"{args.input}: feature(s) {missing} not present in "
+                              f"{table.feature_names}")
         columns = [table.feature_names.index(n) for n in names]
         table = TrainingTable(table.features[:, columns], taus=table.taus,
                               rho=None if args.unlabeled else table.rho,
                               feature_names=names)
     else:
-        if args.format == "phm":
-            windows = iter_phm(args.input)
-        else:
-            windows = iter_ims(args.input, args.channel)
-        table = extract_features(windows, names, params, labeled=not args.unlabeled)
+        windows = (iter_phm(args.input) if args.format == "phm"
+                   else iter_ims(args.input, args.channel))
+        try:
+            table = extract_features(windows, names, params, labeled=not args.unlabeled)
+        except ValueError as exc:  # keeps ConfigError a ConfigError
+            kind = ConfigError if isinstance(exc, ConfigError) else ValueError
+            raise kind(f"{args.input}: {exc}") from None
     write_feature_csv(args.out, table)
     _log(f"{table.n_rows} windows -> {args.out} "
          f"in {time.perf_counter() - start:.2f}s")
@@ -197,24 +195,24 @@ def cmd_benchmark(args) -> int:
     pooled = concat_tables(_read_tables(args.train, "training").values())
     test_tables = _read_tables(args.test, "evaluation", pooled.feature_names)
     clusters = subtractive_cluster(pooled, settings["cluster"])
-    reports = []
+    models = []
     for variant, identify in IDENTIFY.items():
         start = time.perf_counter()
-        model = identify(pooled, clusters,
-                         _provenance(args.train, settings["cluster"], variant))
-        elapsed = time.perf_counter() - start
-        report = evaluate_model(model, test_tables, sg_order=order, sg_frame=frame)
-        reports.append(report)
-        _log(f"{variant}: identified in {elapsed:.4f}s")
-        print(f"{variant} arrmse: {report.arrmse:.6f}")
+        models.append(identify(pooled, clusters,
+                               _provenance(args.train, settings["cluster"], variant)))
+        _log(f"{variant}: identified in {time.perf_counter() - start:.4f}s")
+    # every variant is identified and scored before any result is printed
+    reports = [evaluate_model(model, test_tables, sg_order=order, sg_frame=frame)
+               for model in models]
+    for report in reports:
+        print(f"{report.method} arrmse: {report.arrmse:.6f}")
     write_summary_csv(reports, args.out)
     return 0
 
 
 def cmd_synth(args) -> int:
-    table = synth_bearing(args.seed, args.regimes, args.lifetime,
-                          args.noise, args.n_obs, args.n_features,
-                          args.start_frac)
+    table = synth_bearing(**{name: getattr(args, name)
+                             for name in inspect.signature(synth_bearing).parameters})
     write_feature_csv(args.out, table)
     _log(f"{table.n_rows} synthetic observations -> {args.out}")
     return 0
@@ -225,71 +223,64 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fisrul",
         description="Fuzzy-model identification for bearing RUL estimation")
     sub = parser.add_subparsers(dest="command", required=True)
+    # options shared by several commands, each declared once
+    config, radii, frame = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    config.add_argument("--config", default=None)
+    radii.add_argument("--ra", type=float, default=None)
+    radii.add_argument("--rb", type=float, default=None)
+    frame.add_argument("--sg-frame", type=int, default=None)
 
-    features = sub.add_parser("features", help="extract features from a dataset")
+    features = sub.add_parser("features", parents=[config],
+                              help="extract features from a dataset")
     features.add_argument("--input", required=True,
                           help="dataset directory (or feature CSV with --format csv)")
     features.add_argument("--format", choices=["phm", "ims", "csv"], required=True)
-    features.add_argument("--features", default="rms",
-                          help="comma-separated feature names (rms,se,ae,lle,cd,diae)")
-    features.add_argument("--channel", type=int, default=0,
-                          help="IMS channel index")
+    features.add_argument("--features", default="rms", help="comma-separated "
+                          f"feature names ({','.join(FEATURE_NAMES)})")
+    features.add_argument("--channel", type=int, default=0, help="IMS channel index")
     features.add_argument("--unlabeled", action="store_true",
                           help="omit the rho column (online prediction input)")
-    features.add_argument("--config", default=None)
     features.add_argument("--out", required=True)
     features.set_defaults(func=cmd_features)
 
-    train = sub.add_parser("train", help="identify a model from feature CSVs")
+    train = sub.add_parser("train", parents=[radii, config],
+                           help="identify a model from feature CSVs")
     train.add_argument("--train", nargs="+", required=True,
                        help="labeled feature CSVs (one per training bearing)")
-    train.add_argument("--variant", choices=list(IDENTIFY),
-                       default="weighted")
-    train.add_argument("--ra", type=float, default=None)
-    train.add_argument("--rb", type=float, default=None)
+    train.add_argument("--variant", choices=list(IDENTIFY), default="weighted")
     train.add_argument("--dump-clusters", default=None,
                        help="also write the cluster-center matrix to this CSV")
-    train.add_argument("--config", default=None)
     train.add_argument("--out", required=True)
     train.set_defaults(func=cmd_train)
 
-    predict = sub.add_parser("predict", help="estimate rho and RUL for a CSV")
+    predict = sub.add_parser("predict", parents=[frame, config],
+                             help="estimate rho and RUL for a CSV")
     predict.add_argument("--model", required=True)
     predict.add_argument("--input", required=True)
-    predict.add_argument("--sg-frame", type=int, default=None)
-    predict.add_argument("--config", default=None)
     predict.add_argument("--out", required=True)
     predict.set_defaults(func=cmd_predict)
 
-    evaluate = sub.add_parser("evaluate", help="score a model on labeled CSVs")
+    evaluate = sub.add_parser("evaluate", parents=[frame, config],
+                              help="score a model on labeled CSVs")
     evaluate.add_argument("--model", required=True)
     evaluate.add_argument("--test", nargs="+", required=True)
-    evaluate.add_argument("--sg-frame", type=int, default=None)
-    evaluate.add_argument("--config", default=None)
     evaluate.add_argument("--out", required=True,
                           help="report prefix (writes <out>_curves.csv and "
                                "<out>_summary.csv)")
     evaluate.set_defaults(func=cmd_evaluate)
 
-    benchmark = sub.add_parser(
-        "benchmark", help="train both variants and compare on the same folds")
+    benchmark = sub.add_parser("benchmark", parents=[radii, frame, config],
+                               help="train both variants and compare on the same folds")
     benchmark.add_argument("--train", nargs="+", required=True)
     benchmark.add_argument("--test", nargs="+", required=True)
-    benchmark.add_argument("--ra", type=float, default=None)
-    benchmark.add_argument("--rb", type=float, default=None)
-    benchmark.add_argument("--sg-frame", type=int, default=None)
-    benchmark.add_argument("--config", default=None)
     benchmark.add_argument("--out", required=True, help="summary CSV path")
     benchmark.set_defaults(func=cmd_benchmark)
 
     synth = sub.add_parser("synth", help="generate a synthetic feature CSV")
-    synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--regimes", type=int, default=3)
-    synth.add_argument("--lifetime", type=float, default=1200.0)
-    synth.add_argument("--noise", type=float, default=0.05)
-    synth.add_argument("--n-obs", type=int, default=120)
-    synth.add_argument("--n-features", type=int, default=2)
-    synth.add_argument("--start-frac", type=float, default=0.1)
+    # synth_bearing's parameters and defaults are synth's flags
+    for name, param in inspect.signature(synth_bearing).parameters.items():
+        synth.add_argument("--" + name.replace("_", "-"), type=type(param.default),
+                           default=param.default)
     synth.add_argument("--out", required=True)
     synth.set_defaults(func=cmd_synth)
 
@@ -300,12 +291,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        _log(f"error: {exc}")
-        return 2
     except (LoadError, ValueError, OSError) as exc:
         _log(f"error: {exc}")
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

@@ -10,12 +10,12 @@ ranges.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
+
+from .errors import ConfigError, number
 
 # Byte budget of one block of the pairwise difference tensor; the block's row
 # count follows from it, so clustering memory does not grow with K squared.
@@ -85,6 +85,8 @@ def concat_tables(tables) -> TrainingTable:
             raise ValueError(
                 f"feature sets differ: {names} vs {t.feature_names}")
     has_rho = all(t.rho is not None for t in tables)
+    if not has_rho and any(t.rho is not None for t in tables):
+        raise ValueError("cannot pool labeled and unlabeled tables (rho column)")
     return TrainingTable(
         features=np.vstack([t.features for t in tables]),
         rho=np.concatenate([t.rho for t in tables]) if has_rho else None,
@@ -110,27 +112,23 @@ class ClusterConfig:
 
     def __post_init__(self):
         for name in ("ra", "rb", "eps_accept", "eps_reject"):
-            value = getattr(self, name)
-            if type(value) is bool or not (isinstance(value, Real)
-                                           or name == "rb" and value is None):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if value is not None and not abs(value) <= sys.float_info.max:
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            if not (name == "rb" and self.rb is None):
+                number(getattr(self, name), name)
         if self.rb is None:
             object.__setattr__(self, "rb", 1.25 * self.ra)
         if not self.ra > 0:
-            raise ValueError(f"ra must be positive, got {self.ra}")
+            raise ConfigError(f"ra must be positive, got {self.ra}")
         if not self.rb > self.ra:
-            raise ValueError(f"rb must exceed ra, got rb={self.rb} ra={self.ra}")
+            raise ConfigError(f"rb must exceed ra, got rb={self.rb} ra={self.ra}")
         for name in ("ra", "rb"):
             r = float(getattr(self, name))
             # r * r overflows to inf where r**2 or an int square would raise,
             # and a zero square is never divided by
             if not (r * r > 0.0 and 0.0 < 4.0 / (r * r) < math.inf):
-                raise ValueError(f"{name} out of range: 4/{name}^2 must be a finite "
-                                 f"positive number, got {name}={r}")
+                raise ConfigError(f"{name} out of range: 4/{name}^2 must be a finite "
+                                  f"positive number, got {name}={r}")
         if not 0 < self.eps_reject < self.eps_accept <= 1:
-            raise ValueError(
+            raise ConfigError(
                 f"thresholds must satisfy 0 < eps_reject < eps_accept <= 1, "
                 f"got {self.eps_reject}, {self.eps_accept}")
 

@@ -24,14 +24,13 @@ import math
 import re
 import warnings
 from datetime import datetime
-from numbers import Integral
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
 from .clustering import TrainingTable
-from .errors import LoadError
+from .errors import ConfigError, LoadError, integer, number
 from .features import SignalWindow
 
 PHM_WINDOW_LEN = 2560
@@ -151,8 +150,10 @@ def iter_ims(dir_path, channel: int = 0) -> Iterator[SignalWindow]:
 
     Files are named by their acquisition timestamp and hold 20480
     tab-separated rows, one sample per row and one column per channel;
-    observation times are the timestamp offsets from the first file.
+    observation times are the timestamp offsets from the first file.  A bad
+    channel raises ConfigError before any file is read.
     """
+    integer(channel, "channel", 0)
     root = _directory(dir_path)
     names = sorted(p.name for p in root.iterdir() if p.is_file())
     if not names:
@@ -164,8 +165,7 @@ def iter_ims(dir_path, channel: int = 0) -> Iterator[SignalWindow]:
         [root / name for name in names],
         [(stamp - stamps[0]).total_seconds() for stamp in stamps], IMS_WINDOW_LEN, "\t",
         lambda line: line.rstrip("\n").split("\t"),
-        lambda width: int(channel) if type(channel) is not bool
-        and isinstance(channel, Integral) and 0 <= channel < width
+        lambda width: channel if channel < width
         else f"channel {channel} out of range ({width} columns)")
 
 
@@ -180,7 +180,7 @@ _SLOPE_PATTERNS = (
 )
 
 
-def synth_bearing(seed: int, regimes: int = 3, lifetime: float = 1200.0,
+def synth_bearing(seed: int = 0, regimes: int = 3, lifetime: float = 1200.0,
                   noise: float = 0.05, n_obs: int = 120,
                   n_features: int = 2, start_frac: float = 0.1) -> TrainingTable:
     """Deterministic piecewise-linear run-to-failure feature table.
@@ -192,18 +192,19 @@ def synth_bearing(seed: int, regimes: int = 3, lifetime: float = 1200.0,
     after a warm-up, which also keeps the relative error metric finite at
     desk scale) up to the failure time, so rho spans (start_frac, 1].
     """
-    if regimes < 1:
-        raise ValueError(f"need at least one regime, got {regimes}")
-    if n_obs < 1:
-        raise ValueError(f"n_obs must be at least 1, got {n_obs}")
-    if n_features < 1:
-        raise ValueError(f"n_features must be at least 1, got {n_features}")
+    integer(seed, "seed", 0)
+    for name, value in (("regimes", regimes), ("n_obs", n_obs),
+                        ("n_features", n_features)):
+        integer(value, name, 1)
+    for name, value in (("lifetime", lifetime), ("noise", noise),
+                        ("start_frac", start_frac)):
+        number(value, name)
     if not lifetime > 0:
-        raise ValueError(f"lifetime must be positive, got {lifetime}")
-    if not 0.0 <= noise <= float(np.finfo(float).max):  # NaN and 10**400 fail too
-        raise ValueError(f"noise must be a finite number >= 0, got {noise}")
+        raise ConfigError(f"lifetime must be positive, got {lifetime}")
+    if not noise >= 0:
+        raise ConfigError(f"noise must be non-negative, got {noise}")
     if not 0.0 <= start_frac < 1.0:
-        raise ValueError(f"start_frac must lie in [0, 1), got {start_frac}")
+        raise ConfigError(f"start_frac must lie in [0, 1), got {start_frac}")
     rng = np.random.default_rng(seed)
     grid = np.arange(1, n_obs + 1) / n_obs  # ends at exactly 1.0
     rho = start_frac + (1.0 - start_frac) * grid

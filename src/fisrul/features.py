@@ -21,18 +21,16 @@ from __future__ import annotations
 import csv
 import math
 import os
-import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from numbers import Integral, Real
 from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .clustering import TrainingTable
-from .errors import ConfigError
+from .errors import ConfigError, integer, number
 
 # Per-window kernels by feature name.  Each looks its kernel up as a module
 # global at call time, so rebinding a kernel (as a profiler does) reaches it.
@@ -99,29 +97,23 @@ class FeatureParams:
                           ("lle_mean_period", 0), ("cd_embed_dim", 1), ("cd_lag", 1),
                           ("max_points", 0)):
             value = getattr(self, name)
-            if value is None and getattr(FeatureParams, name) is None:
-                continue
-            if type(value) is bool or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if not value >= low:
-                raise ValueError(f"{name} must be at least {low}, got {value}")
+            if not (value is None and getattr(FeatureParams, name) is None):
+                integer(value, name, low)
         for name in ("ae_r_tol", "diae_baseline_frac"):
-            value = getattr(self, name)
-            if type(value) is bool or not (isinstance(value, Real)
-                                           and abs(value) <= sys.float_info.max):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            number(getattr(self, name), name)
         if not self.ae_r_tol > 0:
-            raise ValueError(f"ae_r_tol must be positive, got {self.ae_r_tol}")
+            raise ConfigError(f"ae_r_tol must be positive, got {self.ae_r_tol}")
         if not 0 < self.diae_baseline_frac < 1:
-            raise ValueError(f"diae_baseline_frac must lie in (0, 1), "
-                             f"got {self.diae_baseline_frac}")
+            raise ConfigError(f"diae_baseline_frac must lie in (0, 1), "
+                              f"got {self.diae_baseline_frac}")
         fit = self.lle_fit_range
-        if fit is not None and not (isinstance(fit, (tuple, list)) and len(fit) == 2
-                                    and all(type(v) is not bool and isinstance(v, Integral)
-                                            for v in fit) and 0 <= fit[0] < fit[1]):
-            raise ValueError(f"lle_fit_range must be null or (lo, hi) with "
-                             f"0 <= lo < hi, both integers, got {fit}")
-        object.__setattr__(self, "lle_fit_range", fit if fit is None else tuple(fit))
+        if fit is not None:
+            if isinstance(fit, (tuple, list)) and len(fit) == 2:
+                fit = tuple(integer(v, f"lle_fit_range[{i}]") for i, v in enumerate(fit))
+            if not (isinstance(fit, tuple) and len(fit) == 2 and 0 <= fit[0] < fit[1]):
+                raise ConfigError("lle_fit_range must be null or (lo, hi) with 0 <= lo "
+                                  f"< hi, both integers, got {self.lle_fit_range}")
+            object.__setattr__(self, "lle_fit_range", fit)
 
 
 # The settings a kernel uses when called without its own FeatureParams.
@@ -565,7 +557,8 @@ def extract_features(windows: Iterable[SignalWindow], feature_set: Iterable[str]
 
     taus = np.array(taus)
     if labeled and not taus[-1] > 0:
-        raise ValueError(f"total life must be positive, got {taus[-1]}")
+        raise ValueError(f"total life must be positive, got {taus[-1]}: labeled rows "
+                         "take it from the last window's time; a loader's first is 0 s")
     return TrainingTable(
         features=np.column_stack([columns[n] for n in names]),
         rho=taus / taus[-1] if labeled else None,

@@ -10,7 +10,6 @@ degrees, so the consequents absorb population and lifetime information.
 from __future__ import annotations
 
 import json
-import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -18,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .clustering import ClusterSet, TrainingTable
-from .errors import ConfigError
+from .errors import ConfigError, number, read_json
 from .mixture import (
     TimeClusterParams,
     estimate_time_clusters,
@@ -270,13 +269,12 @@ def _keys(obj, keys, where: str) -> None:
 
 
 def _numbers(value, where: str) -> np.ndarray:
-    """``value`` as a float array if it is a JSON number or nested lists of
-    them, each finite and none a boolean; ConfigError naming ``where``
-    otherwise.  Shapes are left to TSFISModel and TimeClusterParams."""
+    """``value``, a JSON number or nested lists of them, as a float array; a
+    ConfigError names its first cell that is no finite number, as ``where[i, j]``.
+    Shapes are left to TSFISModel and TimeClusterParams."""
     cells = np.array(value, dtype=object)  # a ragged list keeps list cells
-    if not all(type(x) in (int, float) and abs(x) <= sys.float_info.max
-               for x in cells.ravel()):
-        raise ConfigError(f"{where}: expected an array of finite numbers, got {value!r}")
+    for index, cell in np.ndenumerate(cells):
+        number(cell, where + (str(list(index)) if index else ""))
     return cells.astype(float)
 
 
@@ -287,11 +285,7 @@ def load_model(path) -> TSFISModel:
     per rule) is refused, and re-running ``fisrul train`` writes a new one.
     A malformed document raises ConfigError naming the file and the key.
     """
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # too many digits or levels
-            raise ConfigError(f"{path}: not a JSON document: {exc}") from None
+    doc = read_json(path)
     version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != MODEL_SCHEMA_VERSION:
         raise ConfigError(f"{path}: unsupported model schema version: {version} (re-run "
@@ -307,11 +301,7 @@ def load_model(path) -> TSFISModel:
         tp = {key: _numbers(tp[key], f"{path}: time_params: {key}") for key in TIME_KEYS}
     arrays = {key: _numbers(doc[key], f"{path}: {key}") for key in ARRAY_KEYS}
     try:
-        return TSFISModel(
-            **arrays,
-            time_params=None if tp is None else TimeClusterParams(**tp),
-            feature_set=tuple(names),
-            provenance=provenance,
-        )
+        return TSFISModel(**arrays, feature_set=tuple(names), provenance=provenance,
+                          time_params=None if tp is None else TimeClusterParams(**tp))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None

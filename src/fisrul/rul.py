@@ -5,11 +5,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, integer
 from .features import write_csv
 from .fis import TSFISModel, predict_table
 
@@ -46,10 +45,8 @@ def rul_from_ratio(rho_hat: float, tau: float) -> float:
 
 def check_filter(sg_order: int = SG_ORDER, sg_frame: int = SG_FRAME) -> tuple[int, int]:
     """``(sg_order, sg_frame)``; ConfigError unless integers, frame odd, 0 <= order < frame."""
-    if not all(type(v) is not bool and isinstance(v, Integral)
-               for v in (sg_order, sg_frame)):
-        raise ConfigError(f"filter order and frame must be integers, "
-                          f"got {sg_order!r}, {sg_frame!r}")
+    integer(sg_order, "sg_order")
+    integer(sg_frame, "sg_frame")
     if sg_frame % 2 == 0:
         raise ConfigError(f"filter frame length must be odd, got {sg_frame}")
     if not 0 <= sg_order < sg_frame:

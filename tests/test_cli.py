@@ -8,13 +8,14 @@ import json
 import math
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fisrul import features
+from fisrul import datasets, features
 from fisrul.cli import SECTIONS, main
 from fisrul.clustering import ClusterConfig, subtractive_cluster
 from fisrul.datasets import iter_ims, iter_phm
@@ -111,6 +112,16 @@ class TestFeaturesCommand:
         assert code == 1
         assert "acc_00002.csv:10: non-finite" in capsys.readouterr().err
 
+    def test_undecodable_phm_file_exits_1_naming_the_directory(self, tmp_path, capsys):
+        # a UnicodeDecodeError is a ValueError that takes no one-message form
+        root, _ = make_phm_dir(tmp_path)
+        (root / "acc_00002.csv").write_bytes(b"9,39,9,900,\xff,0.01\n")
+        code = main(["features", "--input", str(root), "--format", "phm",
+                     "--features", "rms", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {root}: 'utf-8' codec can't decode byte 0xff")
+
     def test_non_finite_ims_sample_exits_1(self, tmp_path, capsys):
         root, _ = make_ims_dir(tmp_path, ["2003.10.22.12.06.24"])
         path = root / "2003.10.22.12.06.24"
@@ -205,10 +216,22 @@ class TestTablePath:
     def test_ims_negative_channel_rejected(self, tmp_path, capsys, channel):
         root, _ = make_ims_dir(tmp_path, ["2003.10.22.12.06.24"])
         out = tmp_path / "features.csv"
-        assert main(["features", "--input", str(root), "--format", "ims",
-                     "--channel", channel, "--features", "rms", "--out", str(out)]) == 1
+        # a bad setting fails before the directory is even listed
+        with mock.patch.object(datasets, "_directory", side_effect=AssertionError):
+            assert main(["features", "--input", str(root), "--format", "ims",
+                         "--channel", channel, "--features", "rms",
+                         "--out", str(out)]) == 2
         assert capsys.readouterr().err.strip() == (
-            f"error: {root / '2003.10.22.12.06.24'}:1: channel {channel} out of range "
+            f"error: {root}: channel must be at least 0, got {channel}")
+        assert not out.exists()
+
+    def test_ims_channel_past_last_column_names_file_and_line(self, tmp_path, capsys):
+        root, _ = make_ims_dir(tmp_path, ["2003.10.22.12.06.24"])
+        out = tmp_path / "features.csv"
+        assert main(["features", "--input", str(root), "--format", "ims",
+                     "--channel", "4", "--features", "rms", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == (
+            f"error: {root / '2003.10.22.12.06.24'}:1: channel 4 out of range "
             "(4 columns)")
         assert not out.exists()
 
@@ -450,7 +473,7 @@ class TestMalformedInputs:
         (lambda doc: doc["offsets"].append(0.5),
          "slopes, offsets and sigmas do not match the J x I centers"),
         (lambda doc: doc["centers"].__setitem__(0, ["x"] * len(doc["centers"][0])),
-         "centers: expected an array of finite numbers, got [['x', 'x'], "),
+         "centers[0, 0] must be a number, got 'x'"),
         # the file has no rule weights: a weight key is refused like any other
         (lambda doc: doc.update(weight=0.5), "unknown key(s) ['weight']"),
         (lambda doc: doc.update(feature_set=5),
@@ -470,10 +493,10 @@ class TestMalformedInputs:
         (lambda doc: doc.update(variant="foo"), "unknown key(s) ['variant']"),
         # true == 1.0 in Python, but a JSON boolean is no number
         (lambda doc: doc["offsets"].__setitem__(0, True),
-         "offsets: expected an array of finite numbers, got [True, "),
+         "offsets[0] must be a number, got True"),
         (lambda doc: doc.update(provenance=5), "provenance: expected an object, got 5"),
         (lambda doc: doc["offsets"].__setitem__(0, 10**400),
-         f"offsets: expected an array of finite numbers, got [{10**400}, "),
+         f"offsets[0] must be a finite number, got {10**400}"),
         (lambda doc: (doc.clear(), doc.update(SCHEMA_V1_DOCUMENT)),
          "unsupported model schema version: 1 (re-run `fisrul train` to write "
          "version 2)"),
@@ -489,9 +512,9 @@ class TestMalformedInputs:
          "priors, centroids and variances must be 1-D, of one length"),
         (negative_prior, "priors must lie in [0, 1] and sum to 1, got ["),
         (lambda doc: doc["time_params"]["priors"].__setitem__(0, math.nan),
-         "time_params: priors: expected an array of finite numbers, got [nan, "),
+         "time_params: priors[0] must be a finite number, got nan"),
         (lambda doc: doc["slopes"][0].append(0.5),
-         "slopes: expected an array of finite numbers, got [["),
+         "slopes[0] must be a number, got ["),
         (lambda doc: doc["sigmas"].__setitem__(0, -0.5),
          "membership spreads must be strictly positive"),
         (lambda doc: doc["time_params"]["variances"].__setitem__(0, 0.0),
@@ -523,7 +546,8 @@ class TestMalformedInputs:
         (["features", "--input", "{phm}", "--format", "phm", "--features", "rms,rms"],
          2, "duplicate feature names in ('rms', 'rms')"),
         (["features", "--input", "{phm}", "--format", "phm"],
-         1, "total life must be positive, got 0.0"),
+         1, "{phm}: total life must be positive, got 0.0: labeled rows take it from "
+            "the last window's time; a loader's first is 0 s"),
         (["train", "--variant", "weighted", "--train", "{one_row}"],
          1, "need at least 2 observations to estimate time clusters"),
     ], ids=["duplicate-features", "one-file-phm-life", "weighted-train-one-row"])
@@ -537,7 +561,7 @@ class TestMalformedInputs:
         capsys.readouterr()
         argv = [arg.format(phm=phm, one_row=one_row) for arg in argv]
         assert main(argv + ["--out", str(out)]) == code
-        assert f"error: {message}\n" in capsys.readouterr().err
+        assert f"error: {message.format(phm=phm)}\n" in capsys.readouterr().err
         assert not out.exists()
 
     def test_model_not_json_exits_2(self, synth_csvs, tmp_path, capsys):
@@ -765,6 +789,21 @@ class TestBenchmarkCommand:
                 scores[method] = float(value)
         assert scores["weighted"] == pytest.approx(scores["baseline"], abs=1e-8)
 
+    # one row makes every feature column constant and the design rank-deficient
+    @pytest.mark.filterwarnings("ignore:constant feature column")
+    @pytest.mark.filterwarnings("ignore:rank-deficient design matrix")
+    def test_failing_variant_prints_no_result(self, synth_csvs, tmp_path, capsys):
+        one_row, out = tmp_path / "one_row.csv", tmp_path / "benchmark.csv"
+        assert main(["synth", "--n-obs", "1", "--out", str(one_row)]) == 0
+        capsys.readouterr()
+        assert main(["benchmark", "--train", str(one_row), "--test",
+                     str(synth_csvs["test_a"]), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "error: need at least 2 observations to estimate time clusters\n")
+        assert not out.exists()
+
 
 class TestSynthCommand:
     def test_deterministic_output(self, tmp_path):
@@ -776,22 +815,35 @@ class TestSynthCommand:
     @pytest.mark.parametrize("n_obs", ["0", "-3"])
     def test_no_observations_exits_1(self, tmp_path, capsys, n_obs):
         out = tmp_path / "s.csv"
-        assert main(["synth", "--n-obs", n_obs, "--out", str(out)]) == 1
+        assert main(["synth", "--n-obs", n_obs, "--out", str(out)]) == 2
         assert f"error: n_obs must be at least 1, got {n_obs}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
-    def test_bad_noise_exits_1(self, tmp_path, capsys, noise):
+    @pytest.mark.parametrize("noise, message", [
+        ("nan", "a finite number, got nan"), ("inf", "a finite number, got inf"),
+        ("-1", "non-negative, got -1.0"),
+    ], ids=["nan", "inf", "-1"])
+    def test_bad_noise_exits_1(self, tmp_path, capsys, noise, message):
         out = tmp_path / "s.csv"
-        assert main(["synth", "--noise", noise, "--out", str(out)]) == 1
-        assert capsys.readouterr().err.strip() == \
-            f"error: noise must be a finite number >= 0, got {float(noise)}"
+        assert main(["synth", "--noise", noise, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == f"error: noise must be {message}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lifetime", "inf", "lifetime must be a finite number, got inf"),
+        ("--lifetime", "0", "lifetime must be positive, got 0.0"),
+        ("--seed", "-1", "seed must be at least 0, got -1"),
+    ], ids=["infinite-lifetime", "zero-lifetime", "negative-seed"])
+    def test_bad_setting_exits_2(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "s.csv"
+        assert main(["synth", flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not out.exists()
 
     @pytest.mark.parametrize("n_features", ["0", "-2"])
     def test_no_features_exits_1(self, tmp_path, capsys, n_features):
         out = tmp_path / "s.csv"
-        assert main(["synth", "--n-features", n_features, "--out", str(out)]) == 1
+        assert main(["synth", "--n-features", n_features, "--out", str(out)]) == 2
         assert (f"error: n_features must be at least 1, got {n_features}"
                 in capsys.readouterr().err)
         assert not out.exists()
@@ -813,8 +865,9 @@ class TestFullDatasetPath:
         assert main(["features", "--input", str(root), "--format", "phm",
                      "--features", "rms,se", "--out", str(feats)]) == 0
         model = tmp_path / "model.json"
-        assert main(["train", "--train", str(feats), "--variant", "weighted",
-                     "--out", str(model)]) == 0
+        with pytest.warns(RuntimeWarning, match="rank-deficient design matrix"):
+            assert main(["train", "--train", str(feats), "--variant", "weighted",
+                         "--out", str(model)]) == 0
         report = tmp_path / "rep"
         assert main(["evaluate", "--model", str(model), "--test", str(feats),
                      "--out", str(report)]) == 0
@@ -982,8 +1035,8 @@ class TestMalformedConfig:
         ('{"filter": [61]}', "section 'filter' is not an object"),
         ('{"cluster": {"ra": "big"}}', "cluster: ra must be a number, got 'big'"),
         ('{"cluster": {"ra": true}}', "cluster: ra must be a number, got True"),
-        ('{"filter": {"sg_frame": 31.5}}', "filter: filter order and frame must be "
-                                          "integers, got 2, 31.5"),
+        ('{"filter": {"sg_frame": 31.5}}', "filter: sg_frame must be an integer, "
+                                          "got 31.5"),
         ('{"cluster": {"radius": 0.4}}', "cluster: unknown key 'radius'"),
         ('{"filter": {"frame": 31}}', "filter: unknown key 'frame'"),
         ('{"cluster": {"ra": 0.4,}}', "not a JSON document"),
@@ -1071,7 +1124,7 @@ class TestMalformedConfig:
         cfg.write_text('{"cluster": {"eps_accept": 0.6}}')
         code = main(["train", "--train", str(synth_csvs["train_a"]), "--config",
                      str(cfg), "--ra", "-1", "--out", str(tmp_path / "m.json")])
-        assert code == 1
+        assert code == 2
         assert "error: ra must be positive, got -1.0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, name, value", [
@@ -1079,11 +1132,11 @@ class TestMalformedConfig:
         (["--ra", "1e308"], "ra", "1e+308"),
         (["--rb", "1e300"], "rb", "1e+300"),
     ], ids=["ra-square-underflows", "ra-square-overflows", "rb-square-overflows"])
-    def test_radius_flag_outside_float_range_exits_1(self, flags, name, value,
+    def test_radius_flag_outside_float_range_exits_2(self, flags, name, value,
                                                      synth_csvs, tmp_path, capsys):
         code = main(["train", "--train", str(synth_csvs["train_a"]), *flags,
                      "--out", str(tmp_path / "m.json")])
-        assert code == 1
+        assert code == 2
         assert capsys.readouterr().err.strip() == (
             f"error: {name} out of range: 4/{name}^2 must be a finite positive "
             f"number, got {name}={value}")

@@ -81,6 +81,14 @@ class TestClusterConfig:
             clusters = subtractive_cluster(two_group_table(rng), ClusterConfig(ra=ra))
         assert clusters.n_rules >= 1
 
+    def test_numpy_scalar_settings_accepted_without_warning(self, rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            config = ClusterConfig(ra=np.float32(0.5), rb=np.float64(0.7),
+                                   eps_accept=np.float32(0.5))
+            clusters = subtractive_cluster(two_group_table(rng), config)
+        assert clusters.n_rules >= 1
+
 
 class TestTrainingTable:
     def test_rejects_non_finite(self):
@@ -128,6 +136,16 @@ class TestTrainingTable:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
 
+    def test_concat_rejects_labeled_with_unlabeled(self):
+        labeled = TrainingTable(np.ones((2, 1)), rho=np.array([0.1, 0.2]),
+                                taus=[1.0, 2.0])
+        unlabeled = TrainingTable(np.ones((3, 1)), taus=[1.0, 2.0, 3.0])
+        for tables in ([labeled, unlabeled], [unlabeled, labeled]):
+            with pytest.raises(ValueError, match="^cannot pool labeled and unlabeled "
+                                                 "tables"):
+                concat_tables(tables)
+        assert concat_tables([unlabeled, unlabeled]).rho is None
+
     def test_concat_rejects_mismatched_features(self):
         a = TrainingTable(np.ones((2, 1)), rho=np.array([0.1, 0.2]),
                           taus=[1.0, 2.0], feature_names=("rms",))
@@ -166,7 +184,8 @@ class TestInputSigmas:
 class TestSubtractiveCluster:
     def test_single_data_point(self):
         table = TrainingTable(np.array([[2.0]]), rho=np.array([0.4]), taus=[1.0])
-        clusters = subtractive_cluster(table)
+        with pytest.warns(RuntimeWarning, match="constant feature column"):
+            clusters = subtractive_cluster(table)
         assert clusters.n_rules == 1
         np.testing.assert_array_equal(clusters.centers, [[2.0, 0.4]])
 

@@ -21,7 +21,7 @@ from fisrul.datasets import (
     iter_phm,
     synth_bearing,
 )
-from fisrul.errors import LoadError
+from fisrul.errors import ConfigError, LoadError
 from fisrul.fis import identify_weighted, predict_table
 from fisrul.rul import rrmse
 
@@ -154,12 +154,21 @@ class TestLoadIms:
     @pytest.mark.parametrize("channel", [-1, -5, 1.0, 2.5, True, False])
     def test_negative_channel_rejected(self, tmp_path, channel):
         # -1 would otherwise read the last column, -5 index past the first;
-        # a float is no column index even when it is whole, nor a boolean
+        # a float is no column index even when it is whole, nor a boolean.
+        # Each is refused before the directory is listed.
         root, _ = make_ims_dir(tmp_path, ["2003.10.22.12.06.24"])
-        path = re.escape(str(root / "2003.10.22.12.06.24"))
-        with pytest.raises(LoadError, match=rf"^{path}:1: channel {channel} out of "
-                                            r"range \(4 columns\)$"):
+        message = (f"channel must be at least 0, got {channel}" if type(channel) is int
+                   else f"channel must be an integer, got {channel!r}")
+        with mock.patch.object(datasets, "_directory", side_effect=AssertionError), \
+                pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             list(iter_ims(root, channel=channel))
+
+    def test_numpy_integer_channel_accepted(self, tmp_path):
+        root, data = make_ims_dir(tmp_path, ["2003.10.22.12.06.24"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (window,) = iter_ims(root, channel=np.int64(2))
+        np.testing.assert_array_equal(window.samples, data[0][:, 2])
 
     def test_non_monotone_timestamps_rejected(self, tmp_path):
         # lexicographic order '2003.10...' < '2003.2...' inverts chronology
@@ -312,9 +321,13 @@ class TestFastPath:
 
     @pytest.mark.parametrize("channel", [-1, 2])
     def test_out_of_range_ims_channel_goes_to_line_parser(self, tmp_path, channel):
+        # a negative channel is a bad setting, refused before any file is read
         (tmp_path / "2003.10.22.12.06.24").write_text("0.1\t0.2\n" * SHORT_WINDOW)
         with mock.patch.object(datasets, "IMS_WINDOW_LEN", SHORT_WINDOW):
-            assert read_with_spy(iter_ims, tmp_path, channel=channel)[1]
+            outcome, line_parsed = read_with_spy(iter_ims, tmp_path, channel=channel)
+        assert line_parsed == (channel >= 0)
+        if channel < 0:
+            assert outcome == ("ConfigError", "channel must be at least 0, got -1")
 
 
 class TestSynthBearing:
@@ -354,8 +367,17 @@ class TestSynthBearing:
 
     @pytest.mark.parametrize("noise", [math.nan, math.inf, -1.0, 10**400])
     def test_bad_noise_rejected(self, noise):
-        with pytest.raises(ValueError, match="^noise must be a finite number >= 0, got "):
+        rule = "non-negative" if noise == -1.0 else "a finite number"
+        with pytest.raises(ConfigError, match=f"^noise must be {rule}, got {noise!r}$"):
             synth_bearing(0, noise=noise)
+
+    def test_numpy_scalar_settings_accepted(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = synth_bearing(np.int64(3), regimes=np.int64(2),
+                                  lifetime=np.float32(600.0), noise=np.float32(0.05),
+                                  n_obs=np.int64(40), start_frac=np.float32(0.25))
+        assert table.n_rows == 40 and table.taus[-1] == 600.0
 
     @pytest.mark.parametrize("n_obs", [0, -3])
     def test_no_observations_rejected(self, n_obs):

@@ -89,7 +89,7 @@ def test_pairwise_kernel_loads_spatial_only(tmp_path):
 # The fisrul modules each import loads: itself, its package and what it imports.
 FISRUL_IMPORTS = {
     "fisrul": ["fisrul"],
-    "fisrul.clustering": ["fisrul", "fisrul.clustering"],
+    "fisrul.clustering": ["fisrul", "fisrul.clustering", "fisrul.errors"],
     "fisrul.features": ["fisrul", "fisrul.clustering", "fisrul.errors",
                         "fisrul.features"],
     "fisrul.cli": ["fisrul"] + [f"fisrul.{m}" for m in (

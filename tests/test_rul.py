@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -151,8 +152,15 @@ class TestSavitzkyGolay:
 
     @pytest.mark.parametrize("order, frame", [(2, 61.0), (2.0, 61), (True, 61)])
     def test_non_integer_order_or_frame_rejected(self, order, frame):
-        with pytest.raises(ConfigError, match="filter order and frame must be integers"):
+        name, value = ("sg_frame", frame) if type(order) is int else ("sg_order", order)
+        with pytest.raises(ConfigError,
+                           match=f"^{name} must be an integer, got {value!r}$"):
             savitzky_golay(np.ones(100), order, frame)
+
+    def test_numpy_integer_order_and_frame_accepted(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert check_filter(np.int64(2), np.int64(11)) == (2, 11)
 
     def test_short_series_passes_through_with_warning(self):
         x = np.arange(10.0)
