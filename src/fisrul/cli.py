@@ -31,6 +31,7 @@ from .features import (
     write_feature_csv,
 )
 from .fis import identify_baseline, identify_weighted, load_model, save_model
+from .mixture import check_time_rows
 from .rul import (check_filter, evaluate_model, rul_curves, write_curves_csv,
                   write_summary_csv)
 
@@ -111,6 +112,15 @@ def _read_tables(paths, purpose: str | None, names=None):
     return tables
 
 
+def _training_table(args, variants) -> TrainingTable:
+    """The pooled ``--train`` rows, refused before any clustering when the
+    weighted variant is among ``variants`` and they are too few for it."""
+    pooled = concat_tables(_read_tables(args.train, "training").values())
+    if "weighted" in variants:
+        check_time_rows(pooled.n_rows)
+    return pooled
+
+
 def cmd_features(args) -> int:
     start = time.perf_counter()
     names = normalize_feature_names(args.features.split(","))
@@ -143,7 +153,7 @@ def cmd_features(args) -> int:
 def cmd_train(args) -> int:
     start = time.perf_counter()
     cluster_config = _settings(args)["cluster"]
-    pooled = concat_tables(_read_tables(args.train, "training").values())
+    pooled = _training_table(args, [args.variant])
     clusters = subtractive_cluster(pooled, cluster_config)
     if args.dump_clusters:
         write_csv(args.dump_clusters,
@@ -192,7 +202,7 @@ def cmd_evaluate(args) -> int:
 def cmd_benchmark(args) -> int:
     settings = _settings(args)
     order, frame = settings["filter"]
-    pooled = concat_tables(_read_tables(args.train, "training").values())
+    pooled = _training_table(args, IDENTIFY)
     test_tables = _read_tables(args.test, "evaluation", pooled.feature_names)
     clusters = subtractive_cluster(pooled, settings["cluster"])
     models = []

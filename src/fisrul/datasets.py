@@ -53,11 +53,18 @@ def _parse_float(token: str, path: Path, lineno: int) -> float:
 
 def _parse_lines(path: Path, n_rows: int, split, column) -> np.ndarray:
     """The line parser: blank lines are skipped and every other line is cut
-    by ``split(line)``; a ``column`` message raises LoadError."""
+    by ``split(line)``; a ``column`` message or a line that is not UTF-8
+    raises LoadError.  Lines end as in text mode (``\n``, ``\r\n`` or
+    ``\r``) and each is decoded on its own, so the error names its line."""
     samples = np.empty(n_rows)
     count, width = 0, None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        lines = (line for chunk in fh for line in chunk.splitlines())
+        for lineno, raw in enumerate(lines, start=1):
+            try:
+                line = raw.decode()
+            except UnicodeDecodeError as exc:
+                raise LoadError(f"{path}:{lineno}: not UTF-8 text: {exc}") from None
             if not line.strip():
                 continue
             cells = split(line)
@@ -164,7 +171,7 @@ def iter_ims(dir_path, channel: int = 0) -> Iterator[SignalWindow]:
     yield from _read_windows(
         [root / name for name in names],
         [(stamp - stamps[0]).total_seconds() for stamp in stamps], IMS_WINDOW_LEN, "\t",
-        lambda line: line.rstrip("\n").split("\t"),
+        lambda line: line.split("\t"),
         lambda width: channel if channel < width
         else f"channel {channel} out of range ({width} columns)")
 

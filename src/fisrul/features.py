@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+import mmap
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -282,8 +283,10 @@ def _theiler_neighbors(points: np.ndarray, mean_period: int) -> np.ndarray:
             f"Theiler window mean_period={mean_period} leaves no neighbor for "
             f"some of the m={m} embedded points (need 2*mean_period < m-1)")
     nn = np.empty(m, dtype=np.intp)
-    for a, b in _row_blocks(m):
-        dist = cdist(points[a:b], points)
+    blocks = list(_row_blocks(m))
+    buf = np.empty((blocks[0][1], m))
+    for a, b in blocks:
+        dist = cdist(points[a:b], points, out=buf[:b - a])
         # entry (i - a, i + d) of the block sits at flat index (i - a)(m + 1) + a + d,
         # so each offset d of the band is one strided slice of the flat block
         flat = dist.ravel()
@@ -410,6 +413,15 @@ def _sorted_percentiles(a: np.ndarray, q) -> np.ndarray:
     return np.where(t >= 0.5, hi - step * (1 - t), lo + step * t)
 
 
+def _mapped_array(size: int) -> np.ndarray:
+    """A float array of ``size`` zeros in its own private anonymous mapping,
+    outside every malloc arena; CPython unmaps it when the last view dies."""
+    buf = mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.ndarray(size, buffer=buf)
+
+
 def correlation_dimension(window, params: FeatureParams = DEFAULT_PARAMS) -> float:
     """Correlation dimension via the Grassberger-Procaccia correlation sum.
 
@@ -422,7 +434,10 @@ def correlation_dimension(window, params: FeatureParams = DEFAULT_PARAMS) -> flo
     within 20%).  A degenerate (constant) window returns 0.
 
     The distances are sorted once: the percentiles are read off the sorted
-    array and C(r) is the rank of r in it, found by binary search.
+    array and C(r) is the rank of r in it, found by binary search.  They live
+    in their own mapping (``_mapped_array``), so the largest buffer of the
+    feature pipeline never enters a malloc arena or raises glibc's mmap
+    threshold for the smaller buffers after it.
     """
     from scipy.spatial.distance import pdist
 
@@ -431,7 +446,8 @@ def correlation_dimension(window, params: FeatureParams = DEFAULT_PARAMS) -> flo
         return 0.0
     lag = params.cd_lag if params.cd_lag is not None else _first_acf_minimum(x)
     points = _embed(x, params.cd_embed_dim, lag)
-    dists = pdist(points)
+    m = points.shape[0]
+    dists = pdist(points, out=_mapped_array(m * (m - 1) // 2))
     dists.sort()
     dists = dists[np.searchsorted(dists, 0.0, "right"):]  # drop coincident pairs
     if dists.size == 0:
@@ -515,9 +531,8 @@ def extract_features(windows: Iterable[SignalWindow], feature_set: Iterable[str]
 
     A window's kernels run on the CPUs this process may use, at most one
     thread per kernel.  The calling thread computes the costliest kernel
-    (``_COST_ORDER``), so cd's large buffers never sit in a pool thread's
-    malloc arena, and a pool runs the others; on one CPU every kernel runs
-    inline and no thread starts.  Results, and the error raised (the first
+    (``_COST_ORDER``) and a pool runs the others; on one CPU every kernel
+    runs inline and no thread starts.  Results, and the error raised (the first
     failing kernel in ``feature_set`` order), do not depend on the CPU count.
     """
     names = normalize_feature_names(feature_set)

@@ -87,6 +87,13 @@ def normalize_firing(w) -> np.ndarray:
     return normalize_rows(w)[0]
 
 
+def check_time_rows(n_rows: int) -> None:
+    """ValueError unless ``n_rows`` observations are enough (2) to estimate
+    time clusters from."""
+    if n_rows < 2:
+        raise ValueError("need at least 2 observations to estimate time clusters")
+
+
 def estimate_time_clusters(taus, wbar) -> TimeClusterParams:
     """Closed-form ML estimates of priors and per-rule time clusters.
 
@@ -100,8 +107,7 @@ def estimate_time_clusters(taus, wbar) -> TimeClusterParams:
     w = np.atleast_2d(np.asarray(wbar, dtype=float))
     if taus.ndim != 1 or taus.size != w.shape[0]:
         raise ValueError("taus length must match the degree-matrix row count")
-    if taus.size < 2:
-        raise ValueError("need at least 2 observations to estimate time clusters")
+    check_time_rows(taus.size)
     # the sums below reach K max|tau| and K span^2; Python floats overflow quietly
     lo, hi = float(taus.min()), float(taus.max())
     span = hi - lo

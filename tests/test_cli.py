@@ -113,14 +113,17 @@ class TestFeaturesCommand:
         assert "acc_00002.csv:10: non-finite" in capsys.readouterr().err
 
     def test_undecodable_phm_file_exits_1_naming_the_directory(self, tmp_path, capsys):
-        # a UnicodeDecodeError is a ValueError that takes no one-message form
+        # each line is decoded on its own, so the error names the file and line
         root, _ = make_phm_dir(tmp_path)
-        (root / "acc_00002.csv").write_bytes(b"9,39,9,900,\xff,0.01\n")
+        path = root / "acc_00002.csv"
+        path.write_bytes(b"9,39,9,900,0.1,0.01\r\n9,39,9,900,0.2,0.01\r\n"
+                         b"9,39,9,900,\xff,0.01\r\n")
         code = main(["features", "--input", str(root), "--format", "phm",
                      "--features", "rms", "--out", str(tmp_path / "x.csv")])
         assert code == 1
-        assert capsys.readouterr().err.startswith(
-            f"error: {root}: 'utf-8' codec can't decode byte 0xff")
+        assert capsys.readouterr().err == (
+            f"error: {path}:3: not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+            "in position 11: invalid start byte\n")
 
     def test_non_finite_ims_sample_exits_1(self, tmp_path, capsys):
         root, _ = make_ims_dir(tmp_path, ["2003.10.22.12.06.24"])
@@ -551,8 +554,6 @@ class TestMalformedInputs:
         (["train", "--variant", "weighted", "--train", "{one_row}"],
          1, "need at least 2 observations to estimate time clusters"),
     ], ids=["duplicate-features", "one-file-phm-life", "weighted-train-one-row"])
-    # one row makes every feature column constant
-    @pytest.mark.filterwarnings("ignore:constant feature column")
     def test_input_check_exits_with_its_message(self, argv, code, message, tmp_path,
                                                 capsys):
         phm, _ = make_phm_dir(tmp_path, n_files=1)
@@ -789,9 +790,6 @@ class TestBenchmarkCommand:
                 scores[method] = float(value)
         assert scores["weighted"] == pytest.approx(scores["baseline"], abs=1e-8)
 
-    # one row makes every feature column constant and the design rank-deficient
-    @pytest.mark.filterwarnings("ignore:constant feature column")
-    @pytest.mark.filterwarnings("ignore:rank-deficient design matrix")
     def test_failing_variant_prints_no_result(self, synth_csvs, tmp_path, capsys):
         one_row, out = tmp_path / "one_row.csv", tmp_path / "benchmark.csv"
         assert main(["synth", "--n-obs", "1", "--out", str(one_row)]) == 0
@@ -813,7 +811,7 @@ class TestSynthCommand:
         assert sha256(a) == sha256(b)
 
     @pytest.mark.parametrize("n_obs", ["0", "-3"])
-    def test_no_observations_exits_1(self, tmp_path, capsys, n_obs):
+    def test_no_observations_exits_2(self, tmp_path, capsys, n_obs):
         out = tmp_path / "s.csv"
         assert main(["synth", "--n-obs", n_obs, "--out", str(out)]) == 2
         assert f"error: n_obs must be at least 1, got {n_obs}" in capsys.readouterr().err
@@ -823,7 +821,7 @@ class TestSynthCommand:
         ("nan", "a finite number, got nan"), ("inf", "a finite number, got inf"),
         ("-1", "non-negative, got -1.0"),
     ], ids=["nan", "inf", "-1"])
-    def test_bad_noise_exits_1(self, tmp_path, capsys, noise, message):
+    def test_bad_noise_exits_2(self, tmp_path, capsys, noise, message):
         out = tmp_path / "s.csv"
         assert main(["synth", "--noise", noise, "--out", str(out)]) == 2
         assert capsys.readouterr().err.strip() == f"error: noise must be {message}"
@@ -841,7 +839,7 @@ class TestSynthCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("n_features", ["0", "-2"])
-    def test_no_features_exits_1(self, tmp_path, capsys, n_features):
+    def test_no_features_exits_2(self, tmp_path, capsys, n_features):
         out = tmp_path / "s.csv"
         assert main(["synth", "--n-features", n_features, "--out", str(out)]) == 2
         assert (f"error: n_features must be at least 1, got {n_features}"

@@ -1,10 +1,12 @@
 """Feature extraction: frozen oracle values and invariants."""
 
 import math
+import mmap
 import re
 import threading
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -559,6 +561,40 @@ class TestCorrelationDimension:
         assert (ties > 0) == grid_ties
         assert correlation_dimension(x, params) == expected
 
+    def test_distances_stay_off_the_traced_heap(self):
+        """The 1854 embedded points of a 20480-sample window have 13.7 MB of
+        pairwise distances; they live in a mapping that tracemalloc (which
+        sees every numpy buffer) does not trace."""
+        x = (np.sin(np.arange(20480) / 6.0)
+             + 0.3 * np.random.default_rng(34).normal(size=20480))
+        expected = correlation_dimension(x)  # scipy is imported before tracing
+        tracemalloc.start()
+        try:
+            got = correlation_dimension(x)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert got == expected
+        assert peak_mb < 1
+
+    def test_distance_mapping_released_after_return_and_raise(self, monkeypatch):
+        mappings = []
+
+        def record(size, _mapped_array=features._mapped_array):
+            array = _mapped_array(size)
+            assert isinstance(array.base, mmap.mmap)
+            mappings.append(weakref.ref(array.base))
+            return array
+
+        monkeypatch.setattr(features, "_mapped_array", record)
+        correlation_dimension(np.random.default_rng(31).normal(size=1200))
+        assert len(mappings) == 1 and mappings[0]() is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="no stable scaling region"):
+                correlation_dimension(np.tile(np.arange(7.0), 200))
+        assert len(mappings) == 2 and mappings[1]() is None
+
     @given(st.one_of(
         st.lists(st.floats(1e-5, 1e5), min_size=1, max_size=80),
         st.lists(st.sampled_from([1e-5, 0.3, 0.3 + 2**-50, 7.0, 1e5]),
@@ -646,8 +682,7 @@ class TestExtractFeatures:
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     def test_correlation_dimension_runs_on_calling_thread(self, rng, monkeypatch,
                                                           cpus):
-        # cd holds the largest buffers; on the caller they never sit in a
-        # pool thread's malloc arena, which keeps the peak RSS down
+        # cd, the costliest kernel, runs on the caller and the pool runs the rest
         monkeypatch.setattr(features, "_usable_cpus", lambda: cpus)
         threads = {}
         for name in ("rms", "spectral_entropy", "approximate_entropy",
