@@ -123,15 +123,18 @@ def _training_table(args, variants) -> TrainingTable:
 
 def cmd_features(args) -> int:
     start = time.perf_counter()
-    names = normalize_feature_names(args.features.split(","))
+    # a CSV's columns are named by its header, a dataset's by the kernels
+    names = (tuple(args.features.split(",")) if args.format == "csv"
+             else normalize_feature_names(args.features.split(",")))
     params = _settings(args)["features"]
     if args.format == "csv":
-        # column subsetting of an existing feature CSV
         table = read_feature_csv(args.input)
         missing = [n for n in names if n not in table.feature_names]
         if missing:
             raise ConfigError(f"{args.input}: feature(s) {missing} not present in "
                               f"{table.feature_names}")
+        if len(set(names)) != len(names):
+            raise ConfigError(f"duplicate feature names in {names}")
         columns = [table.feature_names.index(n) for n in names]
         table = TrainingTable(table.features[:, columns], taus=table.taus,
                               rho=None if args.unlabeled else table.rho,

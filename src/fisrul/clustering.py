@@ -17,9 +17,17 @@ import numpy as np
 
 from .errors import ConfigError, number
 
-# Byte budget of one block of the pairwise difference tensor; the block's row
-# count follows from it, so clustering memory does not grow with K squared.
-_BLOCK_BYTES = 8 * 2**20
+# Byte budget of one row block of every quadratic kernel's buffer (clustering
+# potentials, ApEn's closeness mask, the Lyapunov neighbour search), so their
+# memory does not grow with the square of the row count.
+_BLOCK_BYTES = 2**20
+
+
+def _row_blocks(n_rows: int, row_floats: int) -> list[tuple[int, int]]:
+    """(start, stop) ranges over ``n_rows`` rows of ``row_floats`` floats
+    each, every block within ``_BLOCK_BYTES`` (at least one row)."""
+    step = max(1, _BLOCK_BYTES // (8 * row_floats))
+    return [(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
 
 
 @dataclass
@@ -170,11 +178,14 @@ def input_sigmas(table: TrainingTable, ra: float) -> np.ndarray:
     return sigmas
 
 
-def _sq_dists(normed: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Squared distances from rows ``start:stop`` to every row: difference,
-    then sum of squares, so each entry rounds the same whatever the block."""
-    diff = normed[start:stop, None, :] - normed[None, :, :]
-    return np.sum(diff * diff, axis=2)
+def _sq_dists(normed: np.ndarray, start: int, stop: int, buf: np.ndarray) -> np.ndarray:
+    """Squared distances from rows ``start:stop`` to every row: difference
+    (written into ``buf``), then sum of squares, so each entry rounds the
+    same whatever the block."""
+    diff = np.subtract(normed[start:stop, None, :], normed[None, :, :],
+                       out=buf[:stop - start])
+    diff *= diff
+    return diff.sum(axis=2)
 
 
 def subtractive_cluster(table: TrainingTable, config: ClusterConfig | None = None
@@ -190,8 +201,9 @@ def subtractive_cluster(table: TrainingTable, config: ClusterConfig | None = Non
     always accepted, so at least one center is returned.
 
     Cost: O(K^2) time for K rows.  Potentials are summed over blocks of rows
-    sized to a fixed byte budget, and a distance row is formed only for an
-    accepted center, so extra memory is bounded by that budget plus O(K).
+    sized to ``_BLOCK_BYTES``, all in one difference buffer per call, and a
+    distance row is formed only for an accepted center, so extra memory is
+    bounded by that budget plus O(K).
     """
     config = config or ClusterConfig()
     data = table.matrix
@@ -213,15 +225,15 @@ def subtractive_cluster(table: TrainingTable, config: ClusterConfig | None = Non
         raise ValueError(f"ra out of range for this data: 1/sigma^2 of every spread "
                          f"and 8 I/ra^2 (I={table.n_features}) must be finite, "
                          f"got ra={config.ra}")
-    block = max(1, _BLOCK_BYTES // (8 * normed.size))
+    blocks = _row_blocks(n_rows, normed.size)
+    buf = np.empty((blocks[0][1], *normed.shape))
     potential = np.empty(n_rows)
-    for start in range(0, n_rows, block):
-        stop = start + block
+    for start, stop in blocks:
         potential[start:stop] = np.exp(
-            -alpha * _sq_dists(normed, start, stop)).sum(axis=1)
+            -alpha * _sq_dists(normed, start, stop, buf)).sum(axis=1)
 
     def falloff(center: int) -> np.ndarray:
-        return np.exp(-beta * _sq_dists(normed, center, center + 1)[0])
+        return np.exp(-beta * _sq_dists(normed, center, center + 1, buf)[0])
 
     first = int(np.argmax(potential))
     p_ref = float(potential[first])

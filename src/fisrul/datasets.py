@@ -120,27 +120,32 @@ def _directory(dir_path) -> Path:
     return root
 
 
+def _by_key(root: Path, kind: str, keyed: list) -> list:
+    """``(key, file name)`` pairs in key order; LoadError when two files of
+    ``root`` share a key."""
+    keyed = sorted(keyed)
+    for (a, first), (b, second) in zip(keyed, keyed[1:]):
+        if a == b:
+            raise LoadError(f"{root}: {first} and {second} have the same {kind}")
+    return keyed
+
+
 def iter_phm(dir_path) -> Iterator[SignalWindow]:
     """Stream the horizontal-channel windows of one PHM bearing directory.
 
     Files are `acc_<index>.csv` with one sample per row; columns are hour,
     minute, second, microsecond, horizontal and vertical acceleration
     (some distributions use ';' instead of ',').  Only the horizontal
-    channel is kept; window k sits at tau = 10 (k - 1) seconds.
+    channel is kept.  Files are read in the order of their index (``acc_2``
+    before ``acc_10``), and window k sits at tau = 10 (k - 1) seconds.
     """
     root = _directory(dir_path)
-    names = []
-    for entry in sorted(p.name for p in root.glob("acc_*.csv")):
-        match = _PHM_NAME.match(entry)
-        if match:
-            names.append((int(match.group(1)), entry))
-    if not names:
+    matches = (_PHM_NAME.match(p.name) for p in root.glob("acc_*.csv"))
+    files = _by_key(root, "index", [(int(m.group(1)), m.group(0)) for m in matches if m])
+    if not files:
         raise LoadError(f"{root}: no acc_*.csv files found")
-    indices = [idx for idx, _ in names]
-    if any(b <= a for a, b in zip(indices, indices[1:])):
-        raise LoadError(f"{root}: file indices are not strictly increasing")
     yield from _read_windows(
-        [root / name for _, name in names], [PHM_INTERVAL * k for k in range(len(names))],
+        [root / name for _, name in files], [PHM_INTERVAL * k for k in range(len(files))],
         PHM_WINDOW_LEN, ",", lambda line: line.strip().split(";" if ";" in line else ","),
         lambda width: 4 if width in (5, 6) else f"expected 5 or 6 columns, got {width}")
 
@@ -156,21 +161,21 @@ def iter_ims(dir_path, channel: int = 0) -> Iterator[SignalWindow]:
     """Stream one channel of an IMS test directory.
 
     Files are named by their acquisition timestamp and hold 20480
-    tab-separated rows, one sample per row and one column per channel;
-    observation times are the timestamp offsets from the first file.  A bad
-    channel raises ConfigError before any file is read.
+    tab-separated rows, one sample per row and one column per channel.
+    Files are read in timestamp order, and observation times are the
+    timestamp offsets from the first file.  A bad channel raises ConfigError
+    before any file is read.
     """
     integer(channel, "channel", 0)
     root = _directory(dir_path)
     names = sorted(p.name for p in root.iterdir() if p.is_file())
-    if not names:
+    files = _by_key(root, "timestamp", [(_ims_timestamp(name, root), name) for name in names])
+    if not files:
         raise LoadError(f"{root}: no data files found")
-    stamps = [_ims_timestamp(name, root) for name in names]
-    if any(b <= a for a, b in zip(stamps, stamps[1:])):
-        raise LoadError(f"{root}: file timestamps are not strictly increasing")
+    start = files[0][0]
     yield from _read_windows(
-        [root / name for name in names],
-        [(stamp - stamps[0]).total_seconds() for stamp in stamps], IMS_WINDOW_LEN, "\t",
+        [root / name for _, name in files],
+        [(stamp - start).total_seconds() for stamp, _ in files], IMS_WINDOW_LEN, "\t",
         lambda line: line.split("\t"),
         lambda width: channel if channel < width
         else f"channel {channel} out of range ({width} columns)")

@@ -30,11 +30,12 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .clustering import TrainingTable
+from .clustering import TrainingTable, _row_blocks
 from .errors import ConfigError, integer, number
 
-# Per-window kernels by feature name.  Each looks its kernel up as a module
-# global at call time, so rebinding a kernel (as a profiler does) reaches it.
+# Per-window kernels by feature name, from cheapest to costliest per window.
+# Each looks its kernel up as a module global at call time, so rebinding a
+# kernel (as a profiler does) reaches it.
 _KERNELS = {
     "rms": lambda w, p: rms(w),
     "se": lambda w, p: spectral_entropy(w),
@@ -44,21 +45,15 @@ _KERNELS = {
 }
 FEATURE_NAMES = (*_KERNELS, "diae")  # diae scores the whole ae series
 
-# Kernels from costliest to cheapest per window; extract_features runs a
-# window's costliest kernel on the calling thread.
-_COST_ORDER = ("cd", "lle", "ae", "se", "rms")
-
 # Pairwise-distance features (ae, lle, cd) decimate the window to at most
 # this many samples so 20480-sample windows stay tractable.
 MAX_PAIRWISE_POINTS = 2000
 
-# Byte budget of one row block of a distance matrix (ae, lle).
-_BLOCK_BYTES = 2**20
-
 
 @dataclass(frozen=True)
 class SignalWindow:
-    """One fixed-length acceleration snapshot recorded at ``timestamp`` seconds."""
+    """One fixed-length acceleration snapshot recorded at ``timestamp`` seconds;
+    its samples are checked once, here: at least one, all finite."""
 
     samples: np.ndarray
     index: int = 1
@@ -69,6 +64,8 @@ class SignalWindow:
         object.__setattr__(self, "samples", samples)
         if samples.size == 0:
             raise ValueError("signal window has no samples")
+        if not np.isfinite(samples).all():
+            raise ValueError("signal window has non-finite samples (NaN or infinity)")
 
 
 @dataclass(frozen=True)
@@ -122,15 +119,7 @@ DEFAULT_PARAMS = FeatureParams()
 
 
 def _samples(window) -> np.ndarray:
-    if isinstance(window, SignalWindow):
-        x = window.samples
-    else:
-        x = np.asarray(window, dtype=float)
-        if x.size == 0:
-            raise ValueError("signal window has no samples")
-    if not np.isfinite(x).all():
-        raise ValueError("signal window has non-finite samples (NaN or infinity)")
-    return x
+    return (window if isinstance(window, SignalWindow) else SignalWindow(window)).samples
 
 
 def _decimate(x: np.ndarray, max_points: int) -> np.ndarray:
@@ -168,14 +157,6 @@ def spectral_entropy(window) -> float:
     return float(-np.sum(p * np.log(p)) / math.log(psd.size))
 
 
-def _row_blocks(n: int):
-    """(start, stop) row ranges of an n x n float matrix, each block within
-    ``_BLOCK_BYTES`` (at least one row)."""
-    step = max(1, _BLOCK_BYTES // (8 * n))
-    for start in range(0, n, step):
-        yield start, min(start + step, n)
-
-
 def approximate_entropy(window, params: FeatureParams = DEFAULT_PARAMS) -> float:
     """Approximate entropy ApEn(m, r) with m = ``params.ae_m`` and r =
     ``params.ae_r_tol`` times the window std.
@@ -202,7 +183,7 @@ def approximate_entropy(window, params: FeatureParams = DEFAULT_PARAMS) -> float
     count = n - m + 1  # templates of length m; those of length m+1 are one fewer
     matches = np.empty(count, dtype=np.intp)
     longer_matches = np.empty(count - 1, dtype=np.intp)
-    blocks = list(_row_blocks(count))
+    blocks = _row_blocks(count, count)
     height = min(blocks[0][1] + m, n)
     diff = np.empty((height, n))
     close = np.empty((height, n), dtype=bool)
@@ -283,7 +264,7 @@ def _theiler_neighbors(points: np.ndarray, mean_period: int) -> np.ndarray:
             f"Theiler window mean_period={mean_period} leaves no neighbor for "
             f"some of the m={m} embedded points (need 2*mean_period < m-1)")
     nn = np.empty(m, dtype=np.intp)
-    blocks = list(_row_blocks(m))
+    blocks = _row_blocks(m, m)
     buf = np.empty((blocks[0][1], m))
     for a, b in blocks:
         dist = cdist(points[a:b], points, out=buf[:b - a])
@@ -530,8 +511,8 @@ def extract_features(windows: Iterable[SignalWindow], feature_set: Iterable[str]
     being the last window timestamp (run-to-failure convention).
 
     A window's kernels run on the CPUs this process may use, at most one
-    thread per kernel.  The calling thread computes the costliest kernel
-    (``_COST_ORDER``) and a pool runs the others; on one CPU every kernel
+    thread per kernel.  The calling thread computes the costliest kernel (the
+    latest in ``_KERNELS``) and a pool runs the others; on one CPU every kernel
     runs inline and no thread starts.  Results, and the error raised (the first
     failing kernel in ``feature_set`` order), do not depend on the CPU count.
     """
@@ -539,7 +520,7 @@ def extract_features(windows: Iterable[SignalWindow], feature_set: Iterable[str]
     base_names = tuple(n for n in names if n != "diae")
     if "diae" in names and "ae" not in base_names:
         base_names = base_names + ("ae",)
-    by_cost = sorted(base_names, key=_COST_ORDER.index)
+    by_cost = sorted(base_names, key=list(_KERNELS).index, reverse=True)
     threads = min(_usable_cpus(), len(by_cost)) - 1
     inline = by_cost[:1] if threads else by_cost
     pooled = by_cost[len(inline):]

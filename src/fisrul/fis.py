@@ -36,16 +36,12 @@ SVD_RCOND = 1e-10
 
 
 class Rule(NamedTuple):
-    """Read-only view of one rule, taken from a model's arrays: input center,
-    affine consequent ``a . v + b`` and, for weighted models, its prior and
-    time cluster."""
+    """Read-only view of one rule, taken from a model's arrays: input center
+    and affine consequent ``a . v + b``."""
 
     center: np.ndarray
     a: np.ndarray
     b: float
-    prior: float | None = None
-    time_centroid: float | None = None
-    time_variance: float | None = None
 
 
 @dataclass
@@ -101,13 +97,8 @@ class TSFISModel:
     @property
     def rules(self) -> tuple[Rule, ...]:
         """One read-only Rule view per rule, taken from the arrays."""
-        tp = self.time_params
-        return tuple(
-            Rule(self.centers[j], self.slopes[j], float(self.offsets[j]),
-                 *(() if tp is None else (float(tp.priors[j]),
-                                          float(tp.centroids[j]),
-                                          float(tp.variances[j]))))
-            for j in range(self.n_rules))
+        return tuple(Rule(self.centers[j], self.slopes[j], float(self.offsets[j]))
+                     for j in range(self.n_rules))
 
 
 class Estimate(NamedTuple):
@@ -199,6 +190,8 @@ def _identified(table: TrainingTable, clusters: ClusterSet, degrees: np.ndarray,
                 provenance: dict | None) -> TSFISModel:
     """Fit the consequents against the K x J rule degrees; the rule-major
     solution [a_1, b_1, ..., a_J, b_J] splits into slopes and offsets."""
+    if table.rho is None:
+        raise ValueError("identification requires labeled rows (rho present)")
     beta = solve_consequents(build_design_matrix(table.features, degrees), table.rho)
     blocks = beta.reshape(clusters.n_rules, -1)
     return TSFISModel(
@@ -215,8 +208,6 @@ def _identified(table: TrainingTable, clusters: ClusterSet, degrees: np.ndarray,
 def identify_baseline(table: TrainingTable, clusters: ClusterSet,
                       provenance: dict | None = None) -> TSFISModel:
     """Classic subtractive-clustering + least-squares identification."""
-    if table.rho is None:
-        raise ValueError("identification requires labeled rows (rho present)")
     w = firing_matrix(table.features, clusters.input_centers, clusters.sigmas)
     return _identified(table, clusters, normalize_rows(w), None, provenance)
 
@@ -230,8 +221,6 @@ def identify_weighted(table: TrainingTable, clusters: ClusterSet,
     by prior times time membership; consequents from the weighted
     least-squares solve.
     """
-    if table.rho is None:
-        raise ValueError("identification requires labeled rows (rho present)")
     w = firing_matrix(table.features, clusters.input_centers, clusters.sigmas)
     time_params = estimate_time_clusters(table.taus, normalize_rows(w))
     wtil = weighted_firing_matrix(table.features, table.taus,

@@ -152,6 +152,26 @@ class TestFeaturesCommand:
         assert [l.split(",")[2] for l in lines[1:]] == \
             [l.split(",")[3] for l in full_lines[1:]]
 
+    def test_csv_format_subsets_columns_by_header_name(self, tmp_path):
+        # synth's columns f1, f2 are no kernel names; the header decides
+        full, subset = tmp_path / "s.csv", tmp_path / "f2.csv"
+        assert main(["synth", "--n-obs", "5", "--out", str(full)]) == 0
+        assert main(["features", "--input", str(full), "--format", "csv",
+                     "--features", "f2", "--out", str(subset)]) == 0
+        table, original = read_feature_csv(subset), read_feature_csv(full)
+        assert table.feature_names == ("f2",)
+        np.testing.assert_array_equal(table.features[:, 0], original.features[:, 1])
+        np.testing.assert_array_equal(table.rho, original.rho)
+
+    def test_csv_format_repeated_name_exits_2(self, tmp_path, capsys):
+        full, out = tmp_path / "s.csv", tmp_path / "out.csv"
+        assert main(["synth", "--n-obs", "5", "--out", str(full)]) == 0
+        capsys.readouterr()
+        assert main(["features", "--input", str(full), "--format", "csv",
+                     "--features", "f1,f1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: duplicate feature names in ('f1', 'f1')\n"
+        assert not out.exists()
+
     def test_csv_format_unlabeled_drops_rho(self, tmp_path):
         root, _ = make_phm_dir(tmp_path)
         full = tmp_path / "full.csv"

@@ -341,3 +341,20 @@ def test_pooled_fleet_clusters_in_bounded_memory():
         tracemalloc.stop()
     assert clusters.n_rules >= 1
     assert peak_mb < 64
+
+
+def test_fleet_clustering_peak_stays_within_a_few_row_blocks():
+    """K=3000 rows, I=3: the potentials reuse one difference buffer of
+    ``_BLOCK_BYTES`` per call, so the traced peak is a few MB (18.1 MB with
+    fresh 8 MB block temporaries)."""
+    pooled = concat_tables(
+        datasets.synth_bearing(1000 + i, n_obs=750, n_features=3)
+        for i in range(4))
+    assert pooled.matrix.shape == (3000, 4)
+    tracemalloc.start()
+    try:
+        subtractive_cluster(pooled, ClusterConfig(ra=0.5))
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb <= 4

@@ -104,13 +104,25 @@ class TestLoadPhm:
         with pytest.raises(LoadError, match="columns"):
             list(iter_phm(root))
 
-    def test_non_monotone_file_indices_rejected(self, tmp_path):
+    def test_files_read_in_index_order(self, tmp_path):
+        # as strings acc_10 and acc_11 sort before acc_2, and acc_02 before acc_1
+        root = tmp_path / "b"
+        root.mkdir()
+        names = ["acc_1.csv", "acc_02.csv", *(f"acc_{k}.csv" for k in range(3, 12))]
+        for k, name in enumerate(names):
+            write_phm_file(root / name, np.full(PHM_WINDOW_LEN, float(k)))
+        windows = list(iter_phm(root))
+        assert [w.samples[0] for w in windows] == list(range(11))
+        assert [w.timestamp for w in windows] == [10.0 * k for k in range(11)]
+
+    def test_repeated_file_index_rejected(self, tmp_path):
         root = tmp_path / "b"
         root.mkdir()
         values = np.zeros(PHM_WINDOW_LEN)
         write_phm_file(root / "acc_1.csv", values)
-        write_phm_file(root / "acc_02.csv", values)  # sorts before acc_1
-        with pytest.raises(LoadError, match="increasing"):
+        write_phm_file(root / "acc_01.csv", values)
+        with pytest.raises(LoadError, match=f"^{re.escape(str(root))}: acc_01.csv and "
+                                            r"acc_1.csv have the same index$"):
             list(iter_phm(root))
 
 
@@ -170,11 +182,21 @@ class TestLoadIms:
             (window,) = iter_ims(root, channel=np.int64(2))
         np.testing.assert_array_equal(window.samples, data[0][:, 2])
 
-    def test_non_monotone_timestamps_rejected(self, tmp_path):
-        # lexicographic order '2003.10...' < '2003.2...' inverts chronology
-        stamps = ["2003.10.22.12.06.24", "2003.2.23.12.06.24"]
-        root, _ = make_ims_dir(tmp_path, stamps)
-        with pytest.raises(LoadError, match="increasing"):
+    def test_files_read_in_timestamp_order(self, tmp_path):
+        # as strings '2003.10...' sorts before '2003.2...', inverting chronology
+        stamps = ["2003.10.22.12.06.24", "2003.2.23.12.6.24"]
+        root, data = make_ims_dir(tmp_path, stamps, n_channels=1)
+        windows = list(iter_ims(root))
+        assert [w.timestamp for w in windows] == [0.0, 20822400.0]
+        np.testing.assert_array_equal(windows[0].samples, data[1][:, 0])
+        np.testing.assert_array_equal(windows[1].samples, data[0][:, 0])
+
+    def test_repeated_timestamp_rejected(self, tmp_path):
+        stamps = ["2003.10.22.12.06.24", "2003.10.22.12.6.24"]
+        root, _ = make_ims_dir(tmp_path, stamps, n_channels=1)
+        with pytest.raises(LoadError, match=rf"^{re.escape(str(root))}: "
+                           r"2003\.10\.22\.12\.06\.24 and 2003\.10\.22\.12\.6\.24 "
+                           "have the same timestamp$"):
             list(iter_ims(root))
 
     def test_short_file_rejected(self, tmp_path):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fisrul import features
+from fisrul import clustering, features
 from fisrul.clustering import TrainingTable
 from fisrul.errors import ConfigError
 from fisrul.features import (
@@ -250,8 +250,8 @@ class TestApproximateEntropy:
         x = np.random.default_rng(21).integers(0, 5, 90).astype(float)
         count = x.size - m + 1
         rows = count - 1 if block_rows == -1 else block_rows
-        monkeypatch.setattr(features, "_BLOCK_BYTES", rows * 8 * count)
-        assert next(features._row_blocks(count)) == (0, rows)
+        monkeypatch.setattr(clustering, "_BLOCK_BYTES", rows * 8 * count)
+        assert clustering._row_blocks(count, count)[0] == (0, rows)
         r_tol = 1.0 / float(np.std(x))
         assert r_tol * float(np.std(x)) == 1.0
         got = approximate_entropy(x, FeatureParams(ae_m=m, ae_r_tol=r_tol))
@@ -353,8 +353,9 @@ def test_theiler_band_matches_per_row_band(monkeypatch, mean_period, block_rows)
     dist = cdist(points, points)
     for i in range(len(points)):
         dist[i, max(0, i - mean_period):i + mean_period + 1] = np.inf
-    monkeypatch.setattr(features, "_BLOCK_BYTES", block_rows * 8 * len(points))
-    assert next(features._row_blocks(len(points))) == (0, min(block_rows, 41))
+    monkeypatch.setattr(clustering, "_BLOCK_BYTES", block_rows * 8 * len(points))
+    assert clustering._row_blocks(len(points), len(points))[0] \
+        == (0, min(block_rows, 41))
     assert _theiler_neighbors(points, mean_period).tolist() \
         == dist.argmin(axis=1).tolist()
 
@@ -441,7 +442,8 @@ class TestDivergenceCurve:
 
 def test_one_row_distance_blocks_match_brute_force(monkeypatch):
     # ties and <= r boundaries on integer samples, one distance row per block
-    monkeypatch.setattr(features, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(clustering, "_BLOCK_BYTES", 1)
+    assert clustering._row_blocks(300, 300)[0] == (0, 1)
     x = np.random.default_rng(5).integers(0, 4, 300).astype(float)
     r_tol = 1.0 / float(np.std(x))
     r = r_tol * float(np.std(x))
@@ -462,6 +464,15 @@ def test_non_finite_samples_rejected(kernel, bad):
         kernel(make_window(x))
     with pytest.raises(ValueError, match="non-finite"):
         kernel(x)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_window_with_non_finite_sample_rejected_when_built(bad):
+    x = np.sin(np.arange(200) / 5.0)
+    x[17] = bad
+    with pytest.raises(ValueError, match=re.escape(
+            "signal window has non-finite samples (NaN or infinity)")):
+        make_window(x)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -704,9 +715,6 @@ class TestExtractFeatures:
         else:
             assert 1 <= len(started) <= cpus - 1
             assert all(not idents & caller for idents in threads.values())
-
-    def test_every_kernel_has_a_cost_rank(self):
-        assert sorted(features._COST_ORDER) == sorted(features._KERNELS)
 
     @pytest.mark.parametrize("order, dim", [(["ae", "lle", "cd"], 5),
                                             (["ae", "cd", "lle"], 4)],
