@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .clustering import ClusterConfig, TrainingTable, concat_tables, subtractive_cluster
 from .datasets import iter_ims, iter_phm, synth_bearing
-from .errors import ConfigError, LoadError, read_json
+from .errors import ConfigError, LoadError, located, read_json
 from .features import (
     FEATURE_NAMES,
     FeatureParams,
@@ -103,11 +103,12 @@ def _read_tables(paths, purpose: str | None, names=None):
         if key in tables:  # same stem from different directories
             key = str(path)
         names = names or table.feature_names
-        if table.feature_names != names:
-            raise ConfigError(f"{key}: feature set {table.feature_names} does not "
-                              f"match the model's {names}")
-        if purpose and table.rho is None:
-            raise ConfigError(f"{key}: {purpose} needs the rho column")
+        with located(key):
+            if table.feature_names != names:
+                raise ConfigError(f"feature set {table.feature_names} does not "
+                                  f"match the model's {names}")
+            if purpose:
+                table.labels(purpose)
         tables[key] = table
     return tables
 
@@ -133,8 +134,6 @@ def cmd_features(args) -> int:
         if missing:
             raise ConfigError(f"{args.input}: feature(s) {missing} not present in "
                               f"{table.feature_names}")
-        if len(set(names)) != len(names):
-            raise ConfigError(f"duplicate feature names in {names}")
         columns = [table.feature_names.index(n) for n in names]
         table = TrainingTable(table.features[:, columns], taus=table.taus,
                               rho=None if args.unlabeled else table.rho,
@@ -142,11 +141,8 @@ def cmd_features(args) -> int:
     else:
         windows = (iter_phm(args.input) if args.format == "phm"
                    else iter_ims(args.input, args.channel))
-        try:
+        with located(args.input):
             table = extract_features(windows, names, params, labeled=not args.unlabeled)
-        except ValueError as exc:  # keeps ConfigError a ConfigError
-            kind = ConfigError if isinstance(exc, ConfigError) else ValueError
-            raise kind(f"{args.input}: {exc}") from None
     write_feature_csv(args.out, table)
     _log(f"{table.n_rows} windows -> {args.out} "
          f"in {time.perf_counter() - start:.2f}s")

@@ -23,7 +23,7 @@ from .errors import ConfigError, number
 _BLOCK_BYTES = 2**20
 
 
-def _row_blocks(n_rows: int, row_floats: int) -> list[tuple[int, int]]:
+def row_blocks(n_rows: int, row_floats: int) -> list[tuple[int, int]]:
     """(start, stop) ranges over ``n_rows`` rows of ``row_floats`` floats
     each, every block within ``_BLOCK_BYTES`` (at least one row)."""
     step = max(1, _BLOCK_BYTES // (8 * row_floats))
@@ -37,21 +37,26 @@ class TrainingTable:
     features: np.ndarray                 # K x I
     rho: np.ndarray | None = None        # K
     taus: np.ndarray = field(kw_only=True)  # K
-    feature_names: tuple[str, ...] = ()
+    feature_names: tuple[str, ...] = ()  # distinct, none of the CSV's k, tau, rho
 
     def __post_init__(self):
-        self.features = np.atleast_2d(np.asarray(self.features, dtype=float))
-        if self.features.shape[0] < 1:
+        features = np.asarray(self.features, dtype=float)
+        self.features = np.atleast_2d(features)  # a 1-D array is one row
+        if self.features.shape[0] < 1 or features.ndim < 2 and not features.size:
             raise ValueError("training table has no rows")
         if self.features.shape[1] < 1:
             raise ValueError("training table has no feature columns")
         if not np.isfinite(self.features).all():
             raise ValueError("training table contains non-finite feature values")
-        if not self.feature_names:
-            self.feature_names = tuple(
-                f"f{i + 1}" for i in range(self.features.shape[1]))
+        self.feature_names = tuple(self.feature_names) or tuple(
+            f"f{i + 1}" for i in range(self.features.shape[1]))
         if len(self.feature_names) != self.features.shape[1]:
             raise ValueError("feature_names length does not match feature columns")
+        for i, name in enumerate(self.feature_names):
+            if not isinstance(name, str):
+                raise ConfigError(f"column name {name!r} is not a string")
+            if name in ("k", "tau", "rho", *self.feature_names[:i]):
+                raise ConfigError(f"repeated column name {name!r}")
         if self.rho is not None:
             self.rho = np.asarray(self.rho, dtype=float)
             if self.rho.shape != (self.features.shape[0],):
@@ -74,12 +79,16 @@ class TrainingTable:
     def n_features(self) -> int:
         return self.features.shape[1]
 
+    def labels(self, purpose: str) -> np.ndarray:
+        """The rho column, or a ConfigError saying that ``purpose`` needs it."""
+        if self.rho is None:
+            raise ConfigError(f"{purpose} needs the rho column")
+        return self.rho
+
     @property
     def matrix(self) -> np.ndarray:
         """Joint input-output matrix: feature columns plus the rho column."""
-        if self.rho is None:
-            raise ValueError("table has no rho column; cannot build the joint matrix")
-        return np.hstack([self.features, self.rho[:, None]])
+        return np.hstack([self.features, self.labels("the joint matrix")[:, None]])
 
 
 def concat_tables(tables) -> TrainingTable:
@@ -225,7 +234,7 @@ def subtractive_cluster(table: TrainingTable, config: ClusterConfig | None = Non
         raise ValueError(f"ra out of range for this data: 1/sigma^2 of every spread "
                          f"and 8 I/ra^2 (I={table.n_features}) must be finite, "
                          f"got ra={config.ra}")
-    blocks = _row_blocks(n_rows, normed.size)
+    blocks = row_blocks(n_rows, normed.size)
     buf = np.empty((blocks[0][1], *normed.shape))
     potential = np.empty(n_rows)
     for start, stop in blocks:

@@ -30,7 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from .clustering import TrainingTable
-from .errors import ConfigError, LoadError, integer, number
+from .errors import ConfigError, LoadError, cell, integer, number
 from .features import SignalWindow
 
 PHM_WINDOW_LEN = 2560
@@ -39,16 +39,6 @@ PHM_INTERVAL = 10.0
 IMS_WINDOW_LEN = 20480
 
 _PHM_NAME = re.compile(r"^acc_(\d+)\.csv$")
-
-
-def _parse_float(token: str, path: Path, lineno: int) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise LoadError(f"{path}:{lineno}: not a number: {token!r}") from None
-    if not math.isfinite(value):
-        raise LoadError(f"{path}:{lineno}: non-finite sample: {token!r}")
-    return value
 
 
 def _parse_lines(path: Path, n_rows: int, split, column) -> np.ndarray:
@@ -74,7 +64,7 @@ def _parse_lines(path: Path, n_rows: int, split, column) -> np.ndarray:
                     raise LoadError(f"{path}:{lineno}: {col}")
             if count >= n_rows:
                 raise LoadError(f"{path}:{lineno}: more than {n_rows} rows")
-            samples[count] = _parse_float(cells[col], path, lineno)
+            samples[count] = cell(cells[col], LoadError, path, lineno)
             count += 1
     if count != n_rows:
         raise LoadError(f"{path}: expected {n_rows} rows, got {count}")
@@ -110,6 +100,7 @@ def _read_windows(paths, timestamps, n_rows: int, delimiter: str,
         samples = _load_column(path, n_rows, delimiter, column)
         if samples is None:
             samples = _parse_lines(path, n_rows, split, column)
+        samples.flags.writeable = False  # a fresh array: the window need not copy it
         yield SignalWindow(samples, index=order + 1, timestamp=timestamp)
 
 
@@ -231,9 +222,4 @@ def synth_bearing(seed: int = 0, regimes: int = 3, lifetime: float = 1200.0,
         trajectory = np.interp(rho, edges, nodes)
         amplitude = float(np.ptp(trajectory)) or 1.0
         features[:, i] = trajectory + noise * amplitude * rng.standard_normal(n_obs)
-    return TrainingTable(
-        features=features,
-        rho=rho,
-        taus=taus,
-        feature_names=tuple(f"f{i + 1}" for i in range(n_features)),
-    )
+    return TrainingTable(features, rho=rho, taus=taus)  # columns f1, f2, ...

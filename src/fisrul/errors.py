@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and the one type check of a setting."""
+"""Exception types shared across the package, and the one check of each kind of value."""
 
 import json
 import math
 import sys
+from contextlib import contextmanager
 from numbers import Integral, Real
 
 
@@ -41,3 +42,26 @@ def read_json(path):
             return json.load(fh)
         except (ValueError, RecursionError) as exc:  # too many digits or levels
             raise ConfigError(f"{path}: not a JSON document: {exc}") from None
+
+
+def cell(text: str, error: type, path, lineno: int, column: str | None = None) -> float:
+    """``text`` as a finite float, else an ``error`` naming ``path:lineno`` (and column)."""
+    try:
+        value = float(text)
+        if math.isfinite(value):
+            return value
+        kind = "non-finite value"
+    except ValueError:
+        kind = "not a number"
+    where = f"{path}:{lineno}" if column is None else f"{path}:{lineno}: column {column!r}"
+    raise error(f"{where}: {kind}: {text!r}")
+
+
+@contextmanager
+def located(where):
+    """Re-raise the block's ValueError with ``where: `` in front (a ConfigError stays one)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise (ConfigError if isinstance(exc, ConfigError) else ValueError)(
+            f"{where}: {exc}") from None

@@ -30,8 +30,8 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .clustering import TrainingTable, _row_blocks
-from .errors import ConfigError, integer, number
+from .clustering import TrainingTable, row_blocks
+from .errors import ConfigError, cell, integer, located, number
 
 # Per-window kernels by feature name, from cheapest to costliest per window.
 # Each looks its kernel up as a module global at call time, so rebinding a
@@ -53,7 +53,8 @@ MAX_PAIRWISE_POINTS = 2000
 @dataclass(frozen=True)
 class SignalWindow:
     """One fixed-length acceleration snapshot recorded at ``timestamp`` seconds;
-    its samples are checked once, here: at least one, all finite."""
+    its samples are checked once, here: at least one, all finite, and held in
+    a read-only array (a copy when the one given is writable)."""
 
     samples: np.ndarray
     index: int = 1
@@ -61,6 +62,9 @@ class SignalWindow:
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
+        if samples.flags.writeable:
+            samples = samples.copy()
+            samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
         if samples.size == 0:
             raise ValueError("signal window has no samples")
@@ -183,7 +187,7 @@ def approximate_entropy(window, params: FeatureParams = DEFAULT_PARAMS) -> float
     count = n - m + 1  # templates of length m; those of length m+1 are one fewer
     matches = np.empty(count, dtype=np.intp)
     longer_matches = np.empty(count - 1, dtype=np.intp)
-    blocks = _row_blocks(count, count)
+    blocks = row_blocks(count, count)
     height = min(blocks[0][1] + m, n)
     diff = np.empty((height, n))
     close = np.empty((height, n), dtype=bool)
@@ -264,7 +268,7 @@ def _theiler_neighbors(points: np.ndarray, mean_period: int) -> np.ndarray:
             f"Theiler window mean_period={mean_period} leaves no neighbor for "
             f"some of the m={m} embedded points (need 2*mean_period < m-1)")
     nn = np.empty(m, dtype=np.intp)
-    blocks = _row_blocks(m, m)
+    blocks = row_blocks(m, m)
     buf = np.empty((blocks[0][1], m))
     for a, b in blocks:
         dist = cdist(points[a:b], points, out=buf[:b - a])
@@ -564,11 +568,8 @@ def extract_features(windows: Iterable[SignalWindow], feature_set: Iterable[str]
 
 
 def write_feature_csv(path, table: TrainingTable) -> None:
-    """Persist a table as `k,tau,<features...>,rho` (rho blank when absent).
-
-    Column names are free-form (synthetic tables use their own), so no
-    validation against the computable feature set happens here.
-    """
+    """Persist a table as `k,tau,<features...>,rho` (rho blank when absent),
+    which read_feature_csv reads back as an equal table."""
     rhos = [None] * table.n_rows if table.rho is None else table.rho
     write_csv(path, ["k", "tau", *table.feature_names, "rho"],
               ([k, tau, *values, rho] for k, (tau, values, rho)
@@ -592,29 +593,14 @@ def write_csv(path, header, rows) -> None:
         writer.writerows([_cell(v) for v in row] for row in rows)
 
 
-def _csv_float(text: str, path, lineno: int, name: str) -> float:
-    """One CSV cell as a float; ConfigError naming the cell when it is not a
-    finite number."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(
-            f"{path}:{lineno}: column {name!r}: not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}:{lineno}: column {name!r}: non-finite value {text!r}")
-    return value
-
-
 def read_feature_csv(path):
-    """Load a feature CSV back into a TrainingTable (rho None when unlabeled)."""
+    """Load a feature CSV back into a TrainingTable (rho None when unlabeled);
+    the table's own checks, the column names' included, name the file."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[:2] != ["k", "tau"] or header[-1] != "rho":
             raise ConfigError(f"{path}: expected header k,tau,<features...>,rho")
-        repeated = [name for i, name in enumerate(header) if name in header[:i]]
-        if repeated:
-            raise ConfigError(f"{path}: repeated column name {repeated[0]!r}")
         names = tuple(header[2:-1])
         if not names:
             raise ConfigError(f"{path}: no feature columns")
@@ -622,7 +608,7 @@ def read_feature_csv(path):
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ConfigError(f"{path}:{lineno}: expected {len(header)} columns")
-            cells = [_csv_float(text, path, lineno, name)
+            cells = [cell(text, ConfigError, path, lineno, name)
                      for text, name in zip(row[1:-1], header[1:-1])]
             taus.append(cells[0])
             values.append(cells[1:])
@@ -631,15 +617,16 @@ def read_feature_csv(path):
                 raise ConfigError(f"{path}:{lineno}: column 'rho': empty and "
                                   "filled cells mixed")
             if labeled:
-                rhos.append(_csv_float(row[-1], path, lineno, "rho"))
+                rhos.append(cell(row[-1], ConfigError, path, lineno, "rho"))
                 if not 0.0 <= rhos[-1] <= 1.0:
                     raise ConfigError(f"{path}:{lineno}: column 'rho': {row[-1]!r} "
                                       "is outside [0, 1]")
     if not taus:
         raise ConfigError(f"{path}: no data rows")
-    return TrainingTable(
-        features=np.array(values),
-        rho=np.array(rhos) if rhos else None,
-        taus=np.array(taus),
-        feature_names=names,
-    )
+    with located(path):
+        return TrainingTable(
+            features=np.array(values),
+            rho=np.array(rhos) if rhos else None,
+            taus=np.array(taus),
+            feature_names=names,
+        )

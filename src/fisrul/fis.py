@@ -190,9 +190,8 @@ def _identified(table: TrainingTable, clusters: ClusterSet, degrees: np.ndarray,
                 provenance: dict | None) -> TSFISModel:
     """Fit the consequents against the K x J rule degrees; the rule-major
     solution [a_1, b_1, ..., a_J, b_J] splits into slopes and offsets."""
-    if table.rho is None:
-        raise ValueError("identification requires labeled rows (rho present)")
-    beta = solve_consequents(build_design_matrix(table.features, degrees), table.rho)
+    beta = solve_consequents(build_design_matrix(table.features, degrees),
+                             table.labels("identification"))
     blocks = beta.reshape(clusters.n_rules, -1)
     return TSFISModel(
         centers=clusters.input_centers.copy(),

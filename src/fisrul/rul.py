@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, integer
+from .errors import ConfigError, integer, located
 from .features import write_csv
 from .fis import TSFISModel, predict_table
 
@@ -185,24 +185,21 @@ def evaluate_model(model: TSFISModel, tables, sg_order: int = SG_ORDER,
     """
     evaluations = []
     for bearing_id, table in tables.items():
-        if table.rho is None:
-            raise ValueError(f"bearing {bearing_id}: evaluation needs labeled rows")
-        try:
+        with located(f"bearing {bearing_id}"):
+            rho = table.labels("evaluation")
             raw, clamped, rul_hat, smoothed = rul_curves(
                 model, table.features, table.taus, sg_order, sg_frame)
-        except ValueError as exc:  # keeps ConfigError a ConfigError
-            raise type(exc)(f"bearing {bearing_id}: {exc}") from None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            error = rrmse(table.rho, raw)
+            error = rrmse(rho, raw)
         evaluations.append(BearingEvaluation(
             bearing_id=str(bearing_id),
             taus=np.asarray(table.taus, dtype=float),
-            rho_true=np.asarray(table.rho, dtype=float),
+            rho_true=rho,
             rho_hat_raw=raw,
             rho_hat=clamped,
             rul_true=np.array([
-                rul_from_ratio(r, t) for r, t in zip(table.rho, table.taus)]),
+                rul_from_ratio(r, t) for r, t in zip(rho, table.taus)]),
             rul_hat=rul_hat,
             rul_hat_smoothed=smoothed,
             rrmse=error,

@@ -169,7 +169,7 @@ class TestFeaturesCommand:
         capsys.readouterr()
         assert main(["features", "--input", str(full), "--format", "csv",
                      "--features", "f1,f1", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: duplicate feature names in ('f1', 'f1')\n"
+        assert capsys.readouterr().err == "error: repeated column name 'f1'\n"
         assert not out.exists()
 
     def test_csv_format_unlabeled_drops_rho(self, tmp_path):
@@ -980,6 +980,55 @@ class TestUnlabeledTestFile:
         err = capsys.readouterr().err
         assert "error: u100: evaluation needs the rho column" in err
         assert "identified" not in err
+        assert not out.exists()
+
+
+# Each command that reads a feature CSV, with ``bad`` in the place under test.
+TABLE_READERS = {
+    "train": ["train", "--train", "{bad}"],
+    "evaluate": ["evaluate", "--model", "{model}", "--test", "{bad}"],
+    "benchmark-train": ["benchmark", "--train", "{bad}", "--test", "{good}"],
+    "benchmark-test": ["benchmark", "--train", "{good}", "--test", "{bad}"],
+    "features-csv": ["features", "--format", "csv", "--input", "{bad}",
+                     "--features", "f1"],
+}
+
+
+# How a test CSV breaks a table rule, and the message naming it.
+TABLE_BREACHES = {
+    "repeated-feature": (lambda lines: ["k,tau,f1,f1,rho"] + lines[1:],
+                         "{bad}: repeated column name 'f1'"),
+    "repeated-tau": (lambda lines: ["k,tau,f1,tau,rho"] + lines[1:],
+                     "{bad}: repeated column name 'tau'"),
+    "no-rho-column": (lambda lines: [line.rsplit(",", 1)[0] for line in lines],
+                      "{bad}: expected header k,tau,<features...>,rho"),
+    "empty-rho-column": (lambda lines: [lines[0]] + [line.rsplit(",", 1)[0] + ","
+                                                    for line in lines[1:]],
+                         "bad: {purpose} needs the rho column"),
+}
+
+
+class TestTableRulesExit2:
+    """A CSV that breaks a table rule exits 2 from every command that reads it
+    (``features --format csv`` copies an empty rho column as it is)."""
+
+    @pytest.mark.parametrize("command, breach", [
+        (command, breach) for command in TABLE_READERS for breach in TABLE_BREACHES
+        if (command, breach) != ("features-csv", "empty-rho-column")])
+    def test_breach_exits_2(self, command, breach, synth_csvs, tmp_path, capsys):
+        change, message = TABLE_BREACHES[breach]
+        purpose = "training" if command in ("train", "benchmark-train") else "evaluation"
+        good, model = synth_csvs["train_a"], tmp_path / "model.json"
+        assert main(["train", "--train", str(good), "--out", str(model)]) == 0
+        bad, out = tmp_path / "bad.csv", tmp_path / "out.csv"
+        bad.write_text("\n".join(change(synth_csvs["test_a"].read_text().splitlines()))
+                       + "\n")
+        capsys.readouterr()
+        argv = [arg.format(bad=bad, good=good, model=model)
+                for arg in TABLE_READERS[command]]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {message.format(bad=bad, purpose=purpose)}\n"
         assert not out.exists()
 
 

@@ -16,6 +16,7 @@ from fisrul.clustering import (
     input_sigmas,
     subtractive_cluster,
 )
+from fisrul.errors import ConfigError
 
 from conftest import brute_force_subtractive, two_group_table
 
@@ -119,6 +120,8 @@ class TestTrainingTable:
 
     @pytest.mark.parametrize("build, message", [
         (lambda: TrainingTable(np.empty((0, 2)), taus=[]), "training table has no rows"),
+        (lambda: TrainingTable(np.array([]), taus=np.array([])),
+         "training table has no rows"),
         (lambda: TrainingTable(np.ones((2, 2)), taus=[1.0, 2.0], feature_names=("f1",)),
          "feature_names length does not match feature columns"),
         (lambda: TrainingTable(np.ones((2, 1)), rho=[0.5], taus=[1.0, 2.0]),
@@ -130,11 +133,31 @@ class TestTrainingTable:
         (lambda: TrainingTable(np.ones((2, 1)), taus=[1.0, np.inf]),
          "taus contains non-finite values"),
         (lambda: concat_tables([]), "no tables to concatenate"),
-    ], ids=["no-rows", "names-length", "rho-length", "rho-non-finite", "taus-length",
+    ], ids=["no-rows", "empty-1d", "names-length", "rho-length", "rho-non-finite", "taus-length",
             "taus-non-finite", "concat-nothing"])
     def test_malformed_table_rejected(self, build, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
+
+    @pytest.mark.parametrize("names, message", [
+        (("a", "a"), "repeated column name 'a'"),
+        (("k", "b"), "repeated column name 'k'"),
+        (("a", "tau"), "repeated column name 'tau'"),
+        (("rho", "b"), "repeated column name 'rho'"),
+        ((1, 2), "column name 1 is not a string"),
+    ], ids=["repeated", "k", "tau", "rho", "not-strings"])
+    def test_names_a_feature_csv_cannot_hold_rejected(self, names, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            TrainingTable(np.ones((3, 2)), taus=np.arange(3.0), feature_names=names)
+
+    def test_labels_name_the_purpose_that_needs_them(self):
+        labeled = TrainingTable(np.ones((2, 1)), rho=[0.1, 0.2], taus=[1.0, 2.0])
+        assert labeled.labels("training") is labeled.rho
+        unlabeled = TrainingTable(np.ones((2, 1)), taus=[1.0, 2.0])
+        with pytest.raises(ConfigError, match="^training needs the rho column$"):
+            unlabeled.labels("training")
+        with pytest.raises(ConfigError, match="^the joint matrix needs the rho column$"):
+            unlabeled.matrix
 
     def test_concat_rejects_labeled_with_unlabeled(self):
         labeled = TrainingTable(np.ones((2, 1)), rho=np.array([0.1, 0.2]),

@@ -64,6 +64,24 @@ class TestLoadPhm:
         reserialized = [repr(float(v)) for v in windows[0].samples]
         assert reserialized == [repr(float(v)) for v in originals[0]]
 
+    @pytest.mark.parametrize("separator", [",", ";"], ids=["loadtxt", "line-parser"])
+    def test_window_keeps_the_loaders_array(self, tmp_path, separator, monkeypatch):
+        root = tmp_path / "b"
+        root.mkdir()
+        write_phm_file(root / "acc_00001.csv", np.arange(PHM_WINDOW_LEN, dtype=float),
+                       separator=separator)
+        given = []
+
+        class Spy(datasets.SignalWindow):
+            def __post_init__(self):
+                given.append(self.samples)
+                super().__post_init__()
+
+        monkeypatch.setattr(datasets, "SignalWindow", Spy)
+        (window,) = iter_phm(root)
+        assert window.samples is given[0]  # read-only already, so not copied
+        assert not window.samples.flags.writeable
+
     def test_semicolon_separated_variant(self, tmp_path):
         root = tmp_path / "b"
         root.mkdir()

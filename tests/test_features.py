@@ -3,6 +3,7 @@
 import math
 import mmap
 import re
+import tempfile
 import threading
 import tracemalloc
 import warnings
@@ -251,7 +252,7 @@ class TestApproximateEntropy:
         count = x.size - m + 1
         rows = count - 1 if block_rows == -1 else block_rows
         monkeypatch.setattr(clustering, "_BLOCK_BYTES", rows * 8 * count)
-        assert clustering._row_blocks(count, count)[0] == (0, rows)
+        assert clustering.row_blocks(count, count)[0] == (0, rows)
         r_tol = 1.0 / float(np.std(x))
         assert r_tol * float(np.std(x)) == 1.0
         got = approximate_entropy(x, FeatureParams(ae_m=m, ae_r_tol=r_tol))
@@ -354,7 +355,7 @@ def test_theiler_band_matches_per_row_band(monkeypatch, mean_period, block_rows)
     for i in range(len(points)):
         dist[i, max(0, i - mean_period):i + mean_period + 1] = np.inf
     monkeypatch.setattr(clustering, "_BLOCK_BYTES", block_rows * 8 * len(points))
-    assert clustering._row_blocks(len(points), len(points))[0] \
+    assert clustering.row_blocks(len(points), len(points))[0] \
         == (0, min(block_rows, 41))
     assert _theiler_neighbors(points, mean_period).tolist() \
         == dist.argmin(axis=1).tolist()
@@ -443,7 +444,7 @@ class TestDivergenceCurve:
 def test_one_row_distance_blocks_match_brute_force(monkeypatch):
     # ties and <= r boundaries on integer samples, one distance row per block
     monkeypatch.setattr(clustering, "_BLOCK_BYTES", 1)
-    assert clustering._row_blocks(300, 300)[0] == (0, 1)
+    assert clustering.row_blocks(300, 300)[0] == (0, 1)
     x = np.random.default_rng(5).integers(0, 4, 300).astype(float)
     r_tol = 1.0 / float(np.std(x))
     r = r_tol * float(np.std(x))
@@ -464,6 +465,15 @@ def test_non_finite_samples_rejected(kernel, bad):
         kernel(make_window(x))
     with pytest.raises(ValueError, match="non-finite"):
         kernel(x)
+
+
+def test_window_samples_stay_as_checked():
+    x = np.ones(100)
+    window = SignalWindow(x)
+    with pytest.raises(ValueError, match="read-only"):
+        window.samples[3] = np.nan
+    x[3] = np.nan  # the window holds a copy of a writable array
+    assert rms(window) == 1.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -844,6 +854,54 @@ class TestReadFeatureCsv:
                                                        "2,20.0,0.6,0.3,"]))
         assert table.rho is None
         np.testing.assert_array_equal(table.features, [[0.5, 0.2], [0.6, 0.3]])
+
+
+# Column names with commas, quotes, blanks, line breaks and non-ASCII letters,
+# and the CSV's own column names; no lone surrogates, which no text file holds.
+COLUMN_NAMES = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6) \
+    | st.sampled_from(["a,b", '"q"', "it's", " ", "", "\r\n", "é", "Ωmega", "k", "tau",
+                       "rho"])
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def table_columns(draw):
+    """Features, rho (or None), taus and feature names of a table of 1-4 rows."""
+    names = tuple(draw(st.lists(COLUMN_NAMES, min_size=1, max_size=4)))
+    n_rows = draw(st.integers(1, 4))
+
+    def column(values, size):
+        return np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=float)
+
+    rho = column(st.floats(-0.0, 1.0), n_rows) if draw(st.booleans()) else None
+    features = column(FINITE, n_rows * len(names)).reshape(n_rows, len(names))
+    return features, rho, column(FINITE, n_rows), names
+
+
+class TestFeatureCsvCodec:
+    """write_feature_csv and read_feature_csv are inverses on every table."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(columns=table_columns())
+    @example(columns=(np.ones((2, 2)), np.ones(2), np.arange(2.0), ("a", "a")))
+    @example(columns=(np.ones((2, 1)), None, np.arange(2.0), ("tau",)))
+    @example(columns=(np.ones((2, 2)), None, np.arange(2.0), (1, 2)))
+    def test_round_trip(self, columns):
+        features, rho, taus, names = columns
+        try:
+            table = TrainingTable(features, rho=rho, taus=taus, feature_names=names)
+        except ConfigError:
+            return  # a table the library refuses is never written
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/table.csv"
+            write_feature_csv(path, table)
+            back = read_feature_csv(path)
+        assert back.feature_names == table.feature_names
+        for name in ("features", "taus", "rho"):
+            got, sent = getattr(back, name), getattr(table, name)
+            assert (got is None) == (sent is None)
+            if sent is not None:  # equal to the bit, signed zeros included
+                assert got.shape == sent.shape and got.tobytes() == sent.tobytes()
 
 
 class TestRhoColumn:

@@ -91,8 +91,8 @@ class TestBuildDesignMatrix:
 
 
 @pytest.mark.parametrize("call, message", [
-    (identify_baseline, "identification requires labeled rows (rho present)"),
-    (identify_weighted, "identification requires labeled rows (rho present)"),
+    (identify_baseline, "identification needs the rho column"),
+    (identify_weighted, "identification needs the rho column"),
     (lambda table, clusters: build_design_matrix(table.features, np.ones((1, 2))),
      "feature rows must match degree rows"),
 ], ids=["baseline-unlabeled", "weighted-unlabeled", "design-row-mismatch"])

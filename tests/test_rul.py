@@ -292,7 +292,7 @@ class TestEvaluateModel:
         (lambda model, table: evaluate_model(model, {}), "no bearings to evaluate"),
         (lambda model, table: evaluate_model(
             model, {"b1": TrainingTable(table.features, taus=table.taus)}),
-         "bearing b1: evaluation needs labeled rows"),
+         "bearing b1: evaluation needs the rho column"),
     ], ids=["rrmse-empty", "arrmse-empty", "no-bearings", "unlabeled-bearing"])
     def test_nothing_to_score_rejected(self, call, message):
         model, table = self.perfect_model_and_table()
